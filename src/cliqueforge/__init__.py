@@ -4,7 +4,6 @@ from .graphs import (
     Graph,
     MultiGraph,
     Packing,
-    graph_from_edges,
     is_kq_divisible,
     optimal_leave_number,
     parse_graph,
@@ -19,7 +18,6 @@ __all__ = [
     "Graph",
     "MultiGraph",
     "Packing",
-    "graph_from_edges",
     "is_kq_divisible",
     "optimal_leave_number",
     "parse_graph",

@@ -20,7 +20,6 @@ __all__ = [
     "PackingReport",
     "DegreeResidueProfile",
     "edge_key",
-    "graph_from_edges",
     "union",
     "subtract",
     "relabel",
@@ -107,10 +106,6 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n, edges)
 
 
 def union(*graphs: Graph, expect_edge_disjoint: bool = False) -> Graph:
@@ -286,14 +281,6 @@ class Packing:
 
     def __repr__(self):
         return f"Packing(q={self.q}, k={len(self.cliques)})"
-
-    def covered_edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for c in self.cliques:
-            for i in range(len(c)):
-                for j in range(i + 1, len(c)):
-                    out.add((c[i], c[j]))
-        return out
 
 
 class PackingReport:

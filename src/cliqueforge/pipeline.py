@@ -1,4 +1,4 @@
-"""Design hypergraphs and the end-to-end packing pipeline.
+"""The nibble, polish and reserve passes and the end-to-end pipeline.
 
 The pipeline packs a sampled random graph in stages: embed a spanning
 divisibility fixer (Hamilton path power plus fake-edge gadgets placed
@@ -26,11 +26,9 @@ from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer, simplify_fixer
 from .gadgets import naive_omni_absorber
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
 from .randgraphs import gnd, gnp, slice_graph, stream
-from .solver import enumerate_cliques, min_leave_packing
+from .solver import CliqueIndex, min_leave_packing
 
 __all__ = [
-    "DesignHypergraph",
-    "ReserveHypergraph",
     "design_hypergraph",
     "reserve_hypergraph",
     "random_greedy_matching",
@@ -48,135 +46,35 @@ __all__ = [
 
 
 # ===================================================================
-# Hypergraphs over edge keys
+# Hypergraphs over edge ids
 # ===================================================================
 
 
-class DesignHypergraph:
-    """Vertices are edge keys of the base; hyperedges are its q-cliques."""
-
-    __slots__ = ("base", "q", "cliques", "hedges", "_through")
-
-    def __init__(self, base: Graph, q: int, cliques=None):
-        self.base = base
-        self.q = q
-        self.cliques: tuple[tuple[int, ...], ...] = tuple(
-            enumerate_cliques(base, q) if cliques is None else cliques
-        )
-        self.hedges: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple((c[i], c[j]) for i in range(q) for j in range(i + 1, q))
-            for c in self.cliques
-        )
-        self._through = None
-
-    def __len__(self):
-        return len(self.cliques)
-
-    def vertices(self) -> set[tuple[int, int]]:
-        return set(self.base.edges)
-
-    def through(self, edge: tuple[int, int]) -> tuple[int, ...]:
-        """Indices of the hyperedges containing an edge key."""
-        if self._through is None:
-            through: dict[tuple[int, int], list[int]] = {}
-            for i, hedge in enumerate(self.hedges):
-                for e in hedge:
-                    through.setdefault(e, []).append(i)
-            self._through = {e: tuple(ix) for e, ix in through.items()}
-        return self._through.get(edge, ())
-
-    def degree(self, edge: tuple[int, int]) -> int:
-        return len(self.through(edge))
-
-    def codegree(self, e1, e2) -> int:
-        return len(set(self.through(e1)) & set(self.through(e2)))
-
-    def max_codegree(self) -> int:
-        best = 0
-        seen: set[frozenset] = set()
-        for hedge in self.hedges:
-            for e1, e2 in itertools.combinations(hedge, 2):
-                key = frozenset((e1, e2))
-                if key not in seen:
-                    seen.add(key)
-                    best = max(best, self.codegree(e1, e2))
-        return best
-
-    def __repr__(self):
-        return f"DesignHypergraph(q={self.q}, hyperedges={len(self.cliques)})"
+def design_hypergraph(g: Graph, q: int) -> CliqueIndex:
+    """The K_q-hypergraph of g: its q-cliques as edge-id tuples."""
+    return CliqueIndex(g, q)
 
 
-class ReserveHypergraph:
-    """Cliques with exactly one edge in A and all others in B."""
+def reserve_hypergraph(pool: CliqueIndex, a) -> CliqueIndex:
+    """The pool cliques with exactly one edge in A, on the pool's edge ids.
 
-    __slots__ = ("q", "a", "b", "cliques", "hedges")
-
-    def __init__(self, q, a, b, cliques, hedges):
-        self.q = q
-        self.a: frozenset = a
-        self.b: frozenset = b
-        self.cliques = cliques
-        self.hedges = hedges
-
-    def __len__(self):
-        return len(self.cliques)
-
-    def __repr__(self):
-        return f"ReserveHypergraph(q={self.q}, hyperedges={len(self.cliques)})"
+    A is a set of pool edge keys.  The cliques on A-edge e are
+    through[e], in lexicographic order: for q = 3, by ascending apex.
+    """
+    in_a = {pool.edge_ids[e] for e in a}
+    return pool.select(lambda hedge: sum(e in in_a for e in hedge) == 1)
 
 
-def design_hypergraph(g: Graph, q: int) -> DesignHypergraph:
-    return DesignHypergraph(g, q)
-
-
-def reserve_hypergraph(g: Graph, a, b, q: int) -> ReserveHypergraph:
-    a = frozenset((min(u, v), max(u, v)) for u, v in a)
-    b = frozenset((min(u, v), max(u, v)) for u, v in b)
-    if a & b:
-        raise ValueError(f"A and B overlap on {sorted(a & b)[:3]}")
-    cliques = []
-    hedges = []
-    if q == 3:
-        # wedge walk: two B-edges at a common vertex closed by an A-edge
-        badj: dict[int, list[int]] = {}
-        for u, v in sorted(b):
-            badj.setdefault(u, []).append(v)
-            badj.setdefault(v, []).append(u)
-        for w in sorted(badj):
-            ns = sorted(badj[w])
-            for x, y in itertools.combinations(ns, 2):
-                if ((x, y) if x < y else (y, x)) in a:
-                    c = tuple(sorted((w, x, y)))
-                    cliques.append(c)
-                    hedges.append(
-                        tuple(
-                            (c[i], c[j])
-                            for i in range(3)
-                            for j in range(i + 1, 3)
-                        )
-                    )
-    else:
-        pool = Graph(g.n, a | b)
-        for c in enumerate_cliques(pool, q):
-            pairs = tuple(
-                (c[i], c[j]) for i in range(q) for j in range(i + 1, q)
-            )
-            if sum(1 for e in pairs if e in a) == 1:
-                cliques.append(c)
-                hedges.append(pairs)
-    return ReserveHypergraph(q, a, b, tuple(cliques), tuple(hedges))
-
-
-def random_greedy_matching(h: DesignHypergraph, rng):
+def random_greedy_matching(h: CliqueIndex, rng):
     """Uniform random greedy to maximality.
 
     Draws hyperedges uniformly from the remaining pool (conflicted ones
     are discarded as drawn; they can never become valid again), so each
     accepted draw is uniform over the currently valid hyperedges.
-    Returns chosen hyperedge indices and the uncovered edge keys.
+    Returns the chosen hyperedge ids and the set of covered edge ids.
     """
     pool = list(range(len(h.cliques)))
-    used: set[tuple[int, int]] = set()
+    used: set[int] = set()
     chosen: list[int] = []
     while pool:
         i = rng.randrange(len(pool))
@@ -188,7 +86,7 @@ def random_greedy_matching(h: DesignHypergraph, rng):
             continue
         chosen.append(idx)
         used.update(hedge)
-    return chosen, h.vertices() - used
+    return chosen, used
 
 
 # ===================================================================
@@ -196,7 +94,7 @@ def random_greedy_matching(h: DesignHypergraph, rng):
 # ===================================================================
 
 
-def _fill_pass(h: DesignHypergraph, chosen: list[int], used: set) -> int:
+def _fill_pass(h: CliqueIndex, chosen: list[int], used: set) -> int:
     gain = 0
     for i, hedge in enumerate(h.hedges):
         if all(e not in used for e in hedge):
@@ -206,27 +104,27 @@ def _fill_pass(h: DesignHypergraph, chosen: list[int], used: set) -> int:
     return gain
 
 
-def _augment_pass(h: DesignHypergraph, chosen: list[int], used: set) -> int:
+def _augment_pass(h: CliqueIndex, chosen: list[int], used: set) -> int:
     """Swap out 1 or 2 blockers for a new hyperedge plus refills.
 
-    For each uncovered edge, try every hyperedge through it whose
-    conflicts touch at most two chosen hyperedges; tentatively swap,
-    refill greedily through the freed edges, and keep the move only if
-    it covers strictly more (at least as many refills as blockers).
-    Coverage strictly grows on every accepted move, so passes make
-    progress until a fixpoint.
+    For each edge uncovered when the pass starts, try every hyperedge
+    through it whose conflicts touch at most two chosen hyperedges;
+    tentatively swap, refill greedily through the freed edges, and keep
+    the move only if it covers strictly more (at least as many refills
+    as blockers).  Coverage strictly grows on every accepted move, so
+    passes make progress until a fixpoint.
     """
-    owner: dict[tuple[int, int], int] = {}
+    owner: dict[int, int] = {}
     for i in chosen:
         for e in h.hedges[i]:
             owner[e] = i
     chosen_set = set(chosen)
     gain = 0
     per = len(h.hedges[0]) if h.hedges else 0
-    for e in sorted(h.vertices() - used):
+    for e in [e for e in range(len(h.edges)) if e not in used]:
         if e in used:
             continue
-        for t in h.through(e):
+        for t in h.through[e]:
             hedge = h.hedges[t]
             blockers = sorted({owner[x] for x in hedge if x in used})
             if not 1 <= len(blockers) <= 2:
@@ -247,7 +145,7 @@ def _augment_pass(h: DesignHypergraph, chosen: list[int], used: set) -> int:
             for fe in freed:
                 if fe in used:
                     continue
-                for t2 in h.through(fe):
+                for t2 in h.through[fe]:
                     h2 = h.hedges[t2]
                     if all(x not in used for x in h2):
                         fills.append(t2)
@@ -276,7 +174,7 @@ def _augment_pass(h: DesignHypergraph, chosen: list[int], used: set) -> int:
     return gain
 
 
-def _polish(h: DesignHypergraph, chosen: list[int], used: set, passes: int) -> int:
+def _polish(h: CliqueIndex, chosen: list[int], used: set, passes: int) -> int:
     total = 0
     for _ in range(passes):
         gain = _augment_pass(h, chosen, used) + _fill_pass(h, chosen, used)
@@ -292,83 +190,73 @@ def _polish(h: DesignHypergraph, chosen: list[int], used: set, passes: int) -> i
 
 
 class ReserveMatchingResult:
-    """ok, the combined packing, per-source clique lists, stranded A-edges."""
+    """ok, the combined packing, per-source clique lists, stranded A-edges,
+    and the edge keys the packing covers."""
 
-    __slots__ = ("ok", "packing", "nibble_cliques", "reserve_cliques", "stranded")
+    __slots__ = (
+        "ok", "packing", "nibble_cliques", "reserve_cliques", "stranded", "covered",
+    )
 
-    def __init__(self, ok, packing, nibble_cliques, reserve_cliques, stranded):
+    def __init__(self, ok, packing, nibble_cliques, reserve_cliques, stranded, covered):
         self.ok: bool = ok
         self.packing: Packing = packing
         self.nibble_cliques = nibble_cliques
         self.reserve_cliques = reserve_cliques
         self.stranded: tuple = stranded
+        self.covered: frozenset = covered
 
     def __repr__(self):
         return f"ReserveMatchingResult(ok={self.ok}, stranded={len(self.stranded)})"
 
 
 def matching_with_reserves(
-    h1: DesignHypergraph,
-    h2: ReserveHypergraph,
-    a,
-    rng,
-    passes: int = 0,
+    pool: CliqueIndex, a, rng, passes: int = 0
 ) -> ReserveMatchingResult:
-    """Nibble on h1, then complete uncovered A-edges from h2.
+    """Nibble on the pool cliques inside A, then complete uncovered A-edges.
 
-    The two hypergraphs must not share cliques and may only meet on A.
-    Completion is scarcest-first: the A-edge with the fewest remaining
-    reserve cliques goes first, each choice uniform among its valid
-    cliques.  Failure lists the stranded A-edges; the returned packing
-    is always a valid partial packing.
+    A is a set of pool edge keys; the nibble hypergraph is the pool
+    cliques with every edge in A, the reserve hypergraph those with
+    exactly one.  Completion is scarcest-first: the A-edge with the
+    fewest remaining reserve cliques goes first (ties by edge order),
+    each choice uniform among its valid cliques.  Failure lists the
+    stranded A-edges; the returned packing is always a valid partial
+    packing.
     """
-    a = frozenset((min(u, v), max(u, v)) for u, v in a)
-    if set(h1.cliques) & set(h2.cliques):
-        raise ValueError("h1 and h2 share cliques")
-    h2_verts = {e for hedge in h2.hedges for e in hedge}
-    meet = h1.vertices() & h2_verts
-    if not meet <= a:
-        raise ValueError("h1 and h2 meet outside A")
+    in_a = {pool.edge_ids[e] for e in a}
+    nibble = pool.select(lambda hedge: all(e in in_a for e in hedge))
+    reserves = reserve_hypergraph(pool, a)
 
-    chosen, _ = random_greedy_matching(h1, rng)
-    used = {e for idx in chosen for e in h1.hedges[idx]}
-    _polish(h1, chosen, used, passes)
-    uncovered = h1.vertices() - used
+    chosen, used = random_greedy_matching(nibble, rng)
+    _polish(nibble, chosen, used, passes)
 
-    by_a: dict[tuple[int, int], list[int]] = {}
-    for idx, hedge in enumerate(h2.hedges):
-        (a_edge,) = [e for e in hedge if e in h2.a]
-        by_a.setdefault(a_edge, []).append(idx)
+    # through[e] of an A-edge e: the reserve cliques whose one A-edge is e
+    def options(e):
+        return [
+            t for t in reserves.through[e]
+            if not any(x in used for x in reserves.hedges[t])
+        ]
 
-    need = sorted(e for e in uncovered if e in a)
+    need = sorted(e for e in in_a if e not in used)
     reserve_chosen: list[int] = []
-    reserve_used: set = set()
     stranded: list = []
     while need:
-
-        def options(e):
-            return [
-                idx
-                for idx in by_a.get(e, ())
-                if not any(x in used or x in reserve_used for x in h2.hedges[idx])
-            ]
-
-        live = sorted((len(options(e)), e) for e in need)
-        count, target = live[0]
+        _, target = min((len(options(e)), e) for e in need)
         need.remove(target)
         opts = options(target)
         if not opts:
-            stranded.append(target)
+            stranded.append(pool.edges[target])
             continue
-        idx = opts[rng.randrange(len(opts))]
-        reserve_chosen.append(idx)
-        reserve_used.update(h2.hedges[idx])
+        t = opts[rng.randrange(len(opts))]
+        reserve_chosen.append(t)
+        used.update(reserves.hedges[t])
 
-    nibble_cliques = [h1.cliques[i] for i in chosen]
-    reserve_cliques = [h2.cliques[i] for i in reserve_chosen]
-    packing = Packing(h1.q, nibble_cliques + reserve_cliques)
+    nibble_cliques = [nibble.cliques[i] for i in chosen]
+    reserve_cliques = [reserves.cliques[i] for i in reserve_chosen]
+    packing = Packing(pool.q, nibble_cliques + reserve_cliques)
+    covered = frozenset(pool.edges[e] for e in used)
     return ReserveMatchingResult(
-        not stranded, packing, nibble_cliques, reserve_cliques, tuple(stranded)
+        not stranded, packing, nibble_cliques, reserve_cliques, tuple(stranded),
+        covered,
     )
 
 
@@ -905,10 +793,6 @@ def _reserve_absorber(g: Graph, x_res: Graph, main: Graph, q: int):
     return omni, mapping, frozenset(emb_edges)
 
 
-def _pairs(c):
-    return [(c[i], c[j]) for i in range(len(c)) for j in range(i + 1, len(c))]
-
-
 def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     t0 = time.perf_counter()
     rng_embed = stream(seed, "embed")
@@ -918,14 +802,12 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
 
     if g.m <= opts.exact_cutoff:
         res = min_leave_packing(g, q)
-        covered = res.packing.covered_edges()
-        stages["nibble"] = len(covered)
-        leave = g.m - len(covered)
+        stages["nibble"] = g.m - res.leave
         ms = int((time.perf_counter() - t0) * 1000)
         rep = verify_packing(g, res.packing)
-        valid = rep.valid and leave >= opt_bound
+        valid = rep.valid and res.leave >= opt_bound
         return PackReport(
-            g.n, p, d, q, seed, stages, leave, opt_bound, valid, ms,
+            g.n, p, d, q, seed, stages, res.leave, opt_bound, valid, ms,
             res.packing, "exact", (),
         )
 
@@ -957,11 +839,11 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     if aside:
         main = Graph(g.n, main.edges - aside)
 
-    # (iv) + (v) nibble on the main slice, completion through reserves
-    h1 = design_hypergraph(main, q)
-    h2 = reserve_hypergraph(base, main.edges, x_res.edges, q)
+    # (iv) + (v) nibble on the main slice, completion through reserves;
+    # both hypergraphs are read off one clique index of main + reserves
+    pool_index = design_hypergraph(Graph(g.n, main.edges | x_res.edges), q)
     match = matching_with_reserves(
-        h1, h2, main.edges, rng_nibble, opts.polish_passes
+        pool_index, main.edges, rng_nibble, opts.polish_passes
     )
     reserve_set = set(match.reserve_cliques)
 
@@ -976,34 +858,33 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     armed = absorber is not None and len(absorber[0].table) > 1
     exclude = set(aside)
     if armed:
-        covered_x = {
-            e for c in match.reserve_cliques for e in _pairs(c) if e in x_res.edges
-        }
-        exclude |= x_res.edges - covered_x
+        exclude |= x_res.edges - match.covered
     h_full = design_hypergraph(Graph(g.n, base.edges - exclude), q)
     index = {c: i for i, c in enumerate(h_full.cliques)}
     chosen = [index[c] for c in match.packing.cliques]
     used = {e for i in chosen for e in h_full.hedges[i]}
     _polish(h_full, chosen, used, opts.polish_passes)
     cliques = [h_full.cliques[i] for i in chosen]
+    covered = len(used)
 
     # (vii) absorb: if the leftover sits inside the zone, the table
     # decomposes it together with the whole set-aside absorber
+    per = q * (q - 1) // 2
     if absorber is not None:
         omni, mapping, _ = absorber
-        leftover = frozenset(base.edges - aside - used)
+        leftover = frozenset(
+            base.edges - aside - {h_full.edges[e] for e in used}
+        )
         if leftover in omni.table:
             for c in omni.table[leftover].cliques:
-                mapped = tuple(sorted(mapping[v] for v in c))
-                cliques.append(mapped)
-                stages["absorbed"] += len(_pairs(mapped))
-            used |= leftover | aside
+                cliques.append(tuple(sorted(mapping[v] for v in c)))
+                stages["absorbed"] += per
+            covered += len(leftover) + len(aside)
 
-    per = q * (q - 1) // 2
     stages["reserve"] = per * sum(1 for c in cliques if c in reserve_set)
-    stages["nibble"] = len(used) - stages["reserve"] - stages["absorbed"]
+    stages["nibble"] = covered - stages["reserve"] - stages["absorbed"]
     packing = Packing(q, cliques)
-    leave = base.m - len(used)
+    leave = base.m - covered
     ms = int((time.perf_counter() - t0) * 1000)
     rep = verify_packing(base, packing)
     valid = (

@@ -103,38 +103,48 @@ def enumerate_cliques(g: Graph, q: int) -> list[tuple[int, ...]]:
 
 
 class CliqueIndex:
-    """q-cliques of a graph with per-edge membership lookup."""
+    """q-cliques of a graph over integer edge ids.
 
-    __slots__ = ("q", "graph", "cliques", "edge_ids", "by_edge")
+    edges[e] is the key of edge id e (ids follow sorted edge order) and
+    edge_ids its inverse.  cliques are in lexicographic order; hedges[t]
+    holds the edge ids of clique t in pair order (c0c1, c0c2, ...), and
+    through[e] the ids of the cliques on edge e, ascending.  Loops over
+    ids therefore visit edges and cliques in their key order.
+    """
 
-    def __init__(self, g: Graph, q: int, cliques: list[tuple[int, ...]] | None = None):
+    __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "through")
+
+    def __init__(self, g: Graph, q: int):
         self.q = q
-        self.graph = g
-        self.cliques: tuple[tuple[int, ...], ...] = tuple(
-            enumerate_cliques(g, q) if cliques is None else cliques
+        self.edges: tuple[tuple[int, int], ...] = tuple(g.sorted_edges())
+        self.edge_ids = ids = {e: i for i, e in enumerate(self.edges)}
+        cliques = tuple(enumerate_cliques(g, q))
+        self._set(cliques, tuple(
+            tuple(ids[c[i], c[j]] for i in range(q) for j in range(i + 1, q))
+            for c in cliques
+        ))
+
+    def _set(self, cliques, hedges) -> None:
+        self.cliques: tuple[tuple[int, ...], ...] = cliques
+        self.hedges: tuple[tuple[int, ...], ...] = hedges
+        through: list[list[int]] = [[] for _ in self.edges]
+        for t, hedge in enumerate(hedges):
+            for e in hedge:
+                through[e].append(t)
+        self.through = through
+
+    def select(self, keep) -> CliqueIndex:
+        """The cliques whose edge-id tuple passes keep, on the same edge ids."""
+        sub = object.__new__(CliqueIndex)
+        sub.q, sub.edges, sub.edge_ids = self.q, self.edges, self.edge_ids
+        ts = [t for t, hedge in enumerate(self.hedges) if keep(hedge)]
+        sub._set(
+            tuple(self.cliques[t] for t in ts), tuple(self.hedges[t] for t in ts)
         )
-        self.edge_ids: dict[tuple[int, int], int] = {
-            e: i for i, e in enumerate(g.sorted_edges())
-        }
-        by_edge: dict[tuple[int, int], list[int]] = {}
-        for cid, c in enumerate(self.cliques):
-            for i in range(q):
-                for j in range(i + 1, q):
-                    by_edge.setdefault((c[i], c[j]), []).append(cid)
-        self.by_edge = {e: tuple(ids) for e, ids in by_edge.items()}
+        return sub
 
     def __len__(self):
         return len(self.cliques)
-
-    def through_edge(self, u: int, v: int) -> tuple[int, ...]:
-        e = (u, v) if u < v else (v, u)
-        return self.by_edge.get(e, ())
-
-    def clique_edges(self, cid: int) -> list[tuple[int, int]]:
-        c = self.cliques[cid]
-        return [
-            (c[i], c[j]) for i in range(self.q) for j in range(i + 1, self.q)
-        ]
 
 
 # ===================================================================
@@ -142,11 +152,14 @@ class CliqueIndex:
 # ===================================================================
 
 
+_DONE = object()
+
+
 class _ExactCover:
     """Algorithm X over sets, with optional secondary columns.
 
     Primary columns must be covered exactly once; secondary columns at
-    most once.  Rows are keyed by sortable hashables (clique tuples).
+    most once.  Rows are keyed by sortable hashables (clique ids).
     """
 
     def __init__(self, primary, secondary, rows):
@@ -181,20 +194,39 @@ class _ExactCover:
             for c in self.row_cols[r]:
                 self.cols[c].add(r)
 
+    def _branch(self) -> Iterator:
+        """Rows of the most constrained primary column, in key order."""
+        c = min(self.active_primary, key=lambda x: (len(self.cols[x]), x))
+        return iter(sorted(self.cols[c]))
+
     def solutions(self, budget: SolveBudget) -> Iterator[list]:
+        """Depth-first Algorithm X on an explicit stack.
+
+        branches[d] walks the candidate rows at depth d; undo[d] restores
+        the row selected there.  The row order, the budget charges and
+        the solutions match the recursive formulation, without its depth
+        limit (a decomposition can need thousands of cliques).
+        """
         if not self.active_primary:
             yield list(self.solution)
             return
-        c = min(self.active_primary, key=lambda x: (len(self.cols[x]), x))
-        if not self.cols[c]:
-            return
-        for key in sorted(self.cols[c]):
+        branches = [self._branch()]
+        undo: list = []
+        while branches:
+            if len(undo) == len(branches):
+                self.solution.pop()
+                self._unselect(*undo.pop())
+            key = next(branches[-1], _DONE)
+            if key is _DONE:
+                branches.pop()
+                continue
             budget.spend()
-            state = self._select(key)
+            undo.append(self._select(key))
             self.solution.append(key)
-            yield from self.solutions(budget)
-            self.solution.pop()
-            self._unselect(*state)
+            if self.active_primary:
+                branches.append(self._branch())
+            else:
+                yield list(self.solution)
 
 
 class DecompResult:
@@ -222,14 +254,11 @@ def exact_decomposition(
     if g.m == 0:
         return DecompResult("found", Packing(q, []), 0)
     index = CliqueIndex(g, q)
-    rows = [
-        (c, tuple(index.edge_ids[e] for e in index.clique_edges(cid)))
-        for cid, c in enumerate(index.cliques)
-    ]
-    cover = _ExactCover(range(g.m), (), rows)
+    cover = _ExactCover(range(g.m), (), enumerate(index.hedges))
     try:
         for sol in cover.solutions(budget):
-            return DecompResult("found", Packing(q, sol), budget.nodes)
+            packing = Packing(q, [index.cliques[t] for t in sol])
+            return DecompResult("found", packing, budget.nodes)
     except BudgetExceeded:
         return DecompResult("budget", None, budget.nodes)
     return DecompResult("none", None, budget.nodes)
@@ -272,16 +301,14 @@ def min_leave_packing(
     if budget is None:
         budget = SolveBudget(max_nodes=500_000)
     index = CliqueIndex(g, q)
-    edges = g.sorted_edges()
-    clique_edge_sets = [frozenset(index.clique_edges(cid)) for cid in range(len(index))]
-    per_edge = {e: index.through_edge(*e) for e in edges}
+    edge_range = range(len(index.edges))
+    clique_edge_sets = [frozenset(hedge) for hedge in index.hedges]
     global_lb = optimal_leave_number(g, q)
 
     # greedy seed, lexicographic
     taken: list[int] = []
-    used: set[tuple[int, int]] = set()
-    for cid in range(len(index)):
-        es = clique_edge_sets[cid]
+    used: set[int] = set()
+    for cid, es in enumerate(clique_edge_sets):
         if not es & used:
             taken.append(cid)
             used |= es
@@ -289,13 +316,13 @@ def min_leave_packing(
     best_cliques = list(taken)
 
     qsize = q * (q - 1) // 2
-    covered: set[tuple[int, int]] = set()
-    left: set[tuple[int, int]] = set()
+    covered: set[int] = set()
+    left: set[int] = set()
     chosen: list[int] = []
     out_of_budget = False
 
     def undecided_bound() -> int:
-        und = [e for e in edges if e not in covered and e not in left]
+        und = [index.edges[e] for e in edge_range if e not in covered and e not in left]
         if not und:
             return 0
         return optimal_leave_number(Graph(g.n, und), q)
@@ -310,7 +337,7 @@ def min_leave_packing(
             out_of_budget = True
             return
         target = None
-        for e in edges:
+        for e in edge_range:
             if e not in covered and e not in left:
                 target = e
                 break
@@ -321,7 +348,7 @@ def min_leave_packing(
             return
         if len(left) + undecided_bound() >= best_leave:
             return
-        for cid in per_edge[target]:
+        for cid in index.through[target]:
             es = clique_edge_sets[cid]
             if es & covered or es & left:
                 continue

@@ -5,6 +5,7 @@ enumeration, so it stays trivially auditable.  Nothing is imported from
 the package beyond the Graph container itself.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -89,6 +90,12 @@ def brute_cliques(g: Graph, q: int) -> list[tuple[int, ...]]:
         for c in combinations(range(g.n), q)
         if all((u, v) in g.edges for u, v in combinations(c, 2))
     ]
+
+
+def max_codegree(hedges) -> int:
+    """Most hyperedges through one pair of vertices, by counting pairs."""
+    pairs = Counter(p for h in hedges for p in combinations(sorted(h), 2))
+    return max(pairs.values(), default=0)
 
 
 def brute_min_leave(g: Graph, q: int) -> int:

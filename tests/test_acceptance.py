@@ -43,7 +43,7 @@ from cliqueforge.solver import (
     verify_transformer,
 )
 
-from oracles import complete_graph, cycle_graph
+from oracles import complete_graph, cycle_graph, max_codegree
 
 
 @contextmanager
@@ -218,13 +218,13 @@ def test_06_design_hypergraphs_are_regular_with_small_codegree():
     with budget(5.0):
         for n in range(5, 13):
             h = design_hypergraph(complete_graph(n), 3)
-            for e in h.vertices():
-                assert h.degree(e) == math.comb(n - 2, 1)
-            assert h.max_codegree() <= math.comb(n - 3, 0)
+            for through in h.through:
+                assert len(through) == math.comb(n - 2, 1)
+            assert max_codegree(h.hedges) <= math.comb(n - 3, 0)
         for n in range(6, 13):
             h = design_hypergraph(complete_graph(n), 4)
-            for e in h.vertices():
-                assert h.degree(e) == math.comb(n - 2, 2)
+            for through in h.through:
+                assert len(through) == math.comb(n - 2, 2)
 
 
 # -------------------------------------------------------------------

@@ -1,0 +1,61 @@
+"""Byte-level pins of the pipeline and exact-engine outputs.
+
+The digest covers the schedule-free report JSON, the sorted cliques and
+the sorted deleted edges of a few fixed pipeline runs (the nibble with
+reserves and polish, a q=4 run, the exact-cutoff path, an absorber
+table hit, a regular host), plus exact-cover and minimum-leave results.
+Any change to a visit order or a random draw shows up here, so a
+refactor that promises identical outputs is held to it.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+from cliqueforge.pipeline import PackOptions, pack_gnd, pack_gnp
+from cliqueforge.randgraphs import gnp
+from cliqueforge.solver import exact_decomposition, min_leave_packing
+
+from oracles import complete_graph
+
+PINNED = "f185a51ecc2ef1a38a380109d3b4402e8237e22deee6b03b0623f9b5d46b5043"
+
+
+def _pack_doc(rep):
+    return [
+        rep.fixer_mode,
+        rep.to_json(include_ms=False),
+        sorted(rep.packing.cliques),
+        sorted(rep.deleted),
+    ]
+
+
+def _outputs():
+    absorb = PackOptions(
+        absorb=True,
+        exact_cutoff=0,
+        reserve_frac=Fraction(1, 12),
+        gadget_frac=Fraction(1, 4),
+    )
+    docs = [
+        _pack_doc(pack_gnp(60, Fraction(3, 10), 3, 2)),
+        _pack_doc(pack_gnp(16, Fraction(3, 4), 4, 3)),
+        _pack_doc(pack_gnp(11, Fraction(1, 2), 3, 1)),
+        _pack_doc(pack_gnp(13, Fraction(9, 10), 3, 38, absorb)),
+        _pack_doc(pack_gnd(60, 12, 3, 3)),
+    ]
+    for g, q in ((gnp(11, Fraction(1, 2), 4), 3), (gnp(10, Fraction(3, 4), 5), 4)):
+        res = min_leave_packing(g, q)
+        docs.append([res.status, res.leave, res.nodes, sorted(res.packing.cliques)])
+    res = exact_decomposition(complete_graph(9), 3)
+    docs.append([res.status, res.nodes, list(res.packing.cliques)])
+    return docs
+
+
+def test_outputs_match_the_pinned_digest():
+    docs = _outputs()
+    assert docs[0][1]["stages"]["reserve"] > 0  # reserve completion ran
+    assert docs[2][0] == "exact"  # the exact-cutoff path
+    assert docs[3][1]["stages"]["absorbed"] == 3  # the absorber table hit
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED

@@ -29,7 +29,7 @@ from cliqueforge.pipeline import (
 )
 from cliqueforge.randgraphs import gnp, slice_graph, stream
 
-from oracles import complete_graph
+from oracles import complete_graph, max_codegree
 
 
 # ===================================================================
@@ -41,16 +41,14 @@ from oracles import complete_graph
 def test_design_k3_regularity(n):
     h = design_hypergraph(complete_graph(n), 3)
     assert len(h) == math.comb(n, 3)
-    for e in h.vertices():
-        assert h.degree(e) == n - 2
-    assert h.max_codegree() <= 1
+    assert all(len(ts) == n - 2 for ts in h.through)
+    assert max_codegree(h.hedges) <= 1
 
 
 @pytest.mark.parametrize("n", range(6, 13))
 def test_design_k4_regularity(n):
     h = design_hypergraph(complete_graph(n), 4)
-    for e in h.vertices():
-        assert h.degree(e) == math.comb(n - 2, 2)
+    assert all(len(ts) == math.comb(n - 2, 2) for ts in h.through)
 
 
 def test_design_hyperedges_are_clique_edge_sets():
@@ -58,8 +56,9 @@ def test_design_hyperedges_are_clique_edge_sets():
     h = design_hypergraph(g, 3)
     for c, hedge in zip(h.cliques, h.hedges):
         assert len(hedge) == 3
-        assert all(g.has_edge(u, v) for u, v in hedge)
-        assert set(hedge) == {(c[0], c[1]), (c[0], c[2]), (c[1], c[2])}
+        pairs = [h.edges[e] for e in hedge]
+        assert all(g.has_edge(u, v) for u, v in pairs)
+        assert set(pairs) == {(c[0], c[1]), (c[0], c[2]), (c[1], c[2])}
 
 
 def test_reserve_hypergraph_one_target_edge_each():
@@ -67,28 +66,46 @@ def test_reserve_hypergraph_one_target_edge_each():
     n = 6
     b = {(i, n - 1) for i in range(n - 1)}
     a = {(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)}
-    h = reserve_hypergraph(complete_graph(n), a, b, 3)
+    pool = design_hypergraph(complete_graph(n), 3)
+    h = reserve_hypergraph(pool, a)
+    assert h.edges == pool.edges
     assert len(h) == math.comb(n - 1, 2)
     for hedge in h.hedges:
-        assert sum(1 for e in hedge if e in h.a) == 1
-        assert sum(1 for e in hedge if e in h.b) == 2
+        keys = [h.edges[e] for e in hedge]
+        assert sum(1 for e in keys if e in a) == 1
+        assert sum(1 for e in keys if e in b) == 2
+
+
+def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
+    # the completion stage draws by position in these lists
+    g = gnp(14, Fraction(3, 5), 2)
+    b, a = slice_graph(g, Fraction(1, 3), 1, 2)
+    h = reserve_hypergraph(design_hypergraph(g, 3), a.edges)
+    badj = b.adjacency()
+    for e in sorted(a.edges):
+        apexes = [
+            next(v for v in h.cliques[t] if v not in e)
+            for t in h.through[h.edge_ids[e]]
+        ]
+        assert apexes == sorted(badj[e[0]] & badj[e[1]])
 
 
 def test_reserve_hypergraph_q4():
     g = complete_graph(7)
     b = {(i, 6) for i in range(6)}
     a = {e for e in g.edges if e not in b}
-    h = reserve_hypergraph(g, a, b, 4)
-    # no K_4 has exactly one edge outside the apex star
-    assert len(h) == 0
-    h = reserve_hypergraph(g, b, a, 4)
+    pool = design_hypergraph(g, 4)
+    # no K_4 has exactly one edge outside the apex star, or one inside it
+    assert len(reserve_hypergraph(pool, a)) == 0
+    assert len(reserve_hypergraph(pool, b)) == 0
+    # a perfect matching of K_6: a K_4 holds exactly one matching edge
+    # unless the two vertices it misses are matched (3 of 15)
+    pool = design_hypergraph(complete_graph(6), 4)
+    matching = {(0, 1), (2, 3), (4, 5)}
+    h = reserve_hypergraph(pool, matching)
+    assert len(h) == 12
     for hedge in h.hedges:
-        assert sum(1 for e in hedge if e in h.b) == 5
-
-
-def test_reserve_hypergraph_rejects_overlap():
-    with pytest.raises(ValueError):
-        reserve_hypergraph(complete_graph(4), {(0, 1)}, {(0, 1), (1, 2)}, 3)
+        assert sum(1 for e in hedge if h.edges[e] in matching) == 1
 
 
 # ===================================================================
@@ -98,12 +115,12 @@ def test_reserve_hypergraph_rejects_overlap():
 
 def test_random_greedy_matching_is_a_maximal_matching():
     h = design_hypergraph(complete_graph(9), 3)
-    chosen, uncovered = random_greedy_matching(h, stream(5, "greedy"))
-    used = set()
+    chosen, used = random_greedy_matching(h, stream(5, "greedy"))
+    seen = set()
     for idx in chosen:
-        assert not used & set(h.hedges[idx])
-        used |= set(h.hedges[idx])
-    assert uncovered == h.vertices() - used
+        assert not seen & set(h.hedges[idx])
+        seen |= set(h.hedges[idx])
+    assert used == seen
     # maximality: no hyperedge fits in the complement
     for hedge in h.hedges:
         assert any(e in used for e in hedge)
@@ -114,17 +131,17 @@ def test_matching_with_reserves_completes_the_star_instance():
     g = complete_graph(n)
     b = {(i, n - 1) for i in range(n - 1)}
     a = frozenset(g.edges - b)
-    h1 = design_hypergraph(Graph(n, a), 3)
-    h2 = reserve_hypergraph(g, a, b, 3)
+    pool = design_hypergraph(g, 3)
     oks = 0
     for seed in range(6):
-        res = matching_with_reserves(h1, h2, a, stream(seed, "mwr"))
+        res = matching_with_reserves(pool, a, stream(seed, "mwr"))
         rep = verify_packing(g, res.packing)
         assert rep.valid
-        covered_a = {e for c in res.packing.cliques for e in _pairs(c)} & a
-        assert res.ok == (covered_a == a)
+        covered = {e for c in res.packing.cliques for e in _pairs(c)}
+        assert res.covered == covered
+        assert res.ok == (covered & a == a)
+        assert set(res.stranded) == a - covered
         if res.ok:
-            assert not res.stranded
             oks += 1
         else:
             assert res.stranded
@@ -133,23 +150,6 @@ def test_matching_with_reserves_completes_the_star_instance():
 
 def _pairs(c):
     return {(c[i], c[j]) for i in range(len(c)) for j in range(i + 1, len(c))}
-
-
-def test_matching_with_reserves_rejects_shared_cliques():
-    g = complete_graph(3)
-    h1 = design_hypergraph(g, 3)
-    h2 = reserve_hypergraph(g, {(0, 1)}, {(0, 2), (1, 2)}, 3)
-    with pytest.raises(ValueError, match="share"):
-        matching_with_reserves(h1, h2, {(0, 1)}, stream(0, "x"))
-
-
-def test_matching_with_reserves_rejects_meeting_outside_a():
-    h1 = design_hypergraph(Graph(4, [(0, 2), (2, 3), (0, 3)]), 3)
-    h2 = reserve_hypergraph(
-        complete_graph(4), {(0, 1)}, {(0, 2), (1, 2)}, 3
-    )
-    with pytest.raises(ValueError, match="outside"):
-        matching_with_reserves(h1, h2, {(0, 1)}, stream(0, "x"))
 
 
 # ===================================================================

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliqueforge.graphs import Graph, optimal_leave_number, verify_packing
+from cliqueforge.gadgets import anti_clique_absorber
+from cliqueforge.graphs import Graph, optimal_leave_number, union, verify_packing
 from cliqueforge.solver import (
     CliqueIndex,
     SolveBudget,
@@ -44,9 +45,27 @@ def test_clique_index_edge_lookup():
     g = complete_graph(5)
     index = CliqueIndex(g, 3)
     assert len(index) == 10
-    through = index.through_edge(0, 1)
-    assert all((0, 1) in index.clique_edges(cid) for cid in through)
+    assert list(index.edges) == g.sorted_edges()
+    assert all(index.edge_ids[e] == i for i, e in enumerate(index.edges))
+    e01 = index.edge_ids[0, 1]
+    through = index.through[e01]
+    assert all(e01 in index.hedges[cid] for cid in through)
     assert len(through) == 3
+    for c, hedge in zip(index.cliques, index.hedges):
+        pairs = [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
+        assert [index.edges[e] for e in hedge] == pairs
+
+
+def test_clique_index_select_keeps_edge_ids_and_order():
+    index = CliqueIndex(complete_graph(6), 3)
+    e01 = index.edge_ids[0, 1]
+    sub = index.select(lambda hedge: e01 not in hedge)
+    assert sub.edges is index.edges
+    assert list(sub.cliques) == [c for c in index.cliques if c[:2] != (0, 1)]
+    assert sub.through[e01] == []
+    for e, ts in enumerate(sub.through):
+        assert ts == sorted(ts)
+        assert all(e in sub.hedges[t] for t in ts)
 
 
 # ===================================================================
@@ -93,6 +112,18 @@ def test_divisible_but_undecomposable():
 def test_empty_graph_decomposes_trivially():
     res = exact_decomposition(Graph(4, []), 3)
     assert res.status == "found" and len(res.packing) == 0
+
+
+def test_deep_decomposition_does_not_hit_the_recursion_limit():
+    # 1186 K4s: one search level per chosen clique, past Python's
+    # default recursion limit of 1000
+    b = anti_clique_absorber(4)
+    g = union(b.l, b.a)
+    res = exact_decomposition(g, 4)
+    assert res.status == "found"
+    assert len(res.packing) == g.m // 6 == 1186
+    rep = verify_packing(g, res.packing)
+    assert rep.valid and rep.leave.m == 0
 
 
 def test_budget_exhaustion_reports_budget():
