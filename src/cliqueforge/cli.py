@@ -228,15 +228,13 @@ def cmd_gadget_absorber(args) -> int:
 
 def cmd_density(args) -> int:
     g = _read_graph(args.input)
-    if args.limit > 24:
-        print(f"warning: enumeration limit {args.limit} above the default 24, this can take hours", file=sys.stderr)
     roots = args.roots if args.roots is not None else []
     if args.plain:
-        val = max_rooted_density(g, roots, args.limit)
+        val = max_rooted_density(g, roots)
     elif args.roots is not None:
-        val = rooted_2_density(g, roots, args.limit)
+        val = rooted_2_density(g, roots)
     else:
-        val = max_2_density(g, args.limit)
+        val = max_2_density(g)
     text = f"{val.value.numerator}/{val.value.denominator}"
     if args.json:
         _emit_json(args, {"value": text, "witness": list(val.witness), "kind": val.kind})
@@ -617,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="input", required=True, metavar="FILE")
     sp.add_argument("--roots", type=_csv_ints, metavar="CSV", help="rooted 2-density at these roots (plain 2-density without)")
     sp.add_argument("--plain", action="store_true", help="edges-per-nonroot ratio instead of the 2-density")
-    sp.add_argument("--limit", type=int, default=24, help="enumeration size cap")
     _add_out(sp)
     _add_json(sp)
 

@@ -1,4 +1,4 @@
-"""Exact rooted density functionals over small graphs.
+"""Exact rooted density functionals.
 
 All values are exact rationals (fractions.Fraction); floating point is
 never used here.  The three functionals:
@@ -8,31 +8,55 @@ never used here.  The three functionals:
   max_2_density(H)           max (e(H') - 1) / (v(H') - 2) over v(H') >= 3,
   rooted_2_density(H, R)     the max of the two.
 
-Roots must be independent in H.  Maximizers can be taken edge-maximal on
-their vertex set, so enumeration runs over vertex subsets with induced
-edges.  Two exact reductions keep the enumeration feasible on gadget
-unions well past the raw cap:
+Roots must be independent in H.  Maximizers can be taken induced and
+holding all of R, so the rooted functional is the max of e(T u R) / |T|
+over nonempty vertex sets T of V \\ R.
 
-  * the rooted functional splits over connected components of H - R
-    (components meet only at roots, roots span no edges, and a ratio of
-    sums is at most the max of the ratios), and
-  * the 2-density functional splits over 2-connected blocks (a maximizer
-    with a cutvertex loses to one of its sides by the mediant
-    inequality; forests and matchings are handled by closed forms).
+Engine.  For lam = a/b, the least T maximising e(T u R) - lam |T| is the
+source side of the least minimum s-t cut (Goldberg, UCB/CSD-84-171,
+1984), read off the residual network of a maximum flow.  Each
+vertex v of V \\ R gets the weight w(v) = b (d(v) + 2 r(v)) - 2a, where
+d(v) counts its edges to other non-roots and r(v) its edges to roots;
+s -> v has capacity w(v) when w(v) > 0, v -> t has -w(v) when w(v) < 0,
+and every non-root edge is a pair of arcs of capacity b.  A cut with
+source side T then costs W - 2b (e(T u R) - lam |T|), W the sum of the
+positive weights.  Dinkelbach's iteration (Management Science 13(7),
+1967) starts at lam = e(H) / |V \\ R| and moves lam to the ratio of the
+cut's source side until that side is empty, i.e. until no set beats
+lam.  Each step raises lam strictly, so it stops at the exact maximum.
 
-Each enumerated piece must stay within the enumeration limit (default
-24 vertices); larger pieces raise rather than approximate.
+Pinning.  A cut cannot state m_2's v(H') >= 3.  But for a set S of at
+least 3 vertices holding an edge uv, (e(S) - 1) / (|S| - 2) equals
+e_{H-uv}(S) / |S \\ {u, v}|, so m_2(H) is the max over edges uv of
+m(H - uv, {u, v}); an edgeless H has -1/(n - 2), attained by V(H).  The
+search starts at the ratio of V(H) and pins the edges in sorted order,
+each with one Dinkelbach warm-started at the best lam so far.  Only the
+(floor(lam) + 1)-core is searched: if S beats lam >= 0 and some x in S
+has degree d <= lam inside S, then |S| >= 4 (three vertices that beat
+lam have minimum degree above lam), and dropping x keeps the ratio at
+least as high, because (e(S) - 1) / (|S| - 2) > d.  The cost is one
+warm-started Dinkelbach per core edge, usually a single min cut on at
+most v(H) nodes; no step enumerates subsets and no size is capped.
+
+Witnesses are deterministic.  The rooted witness is R plus the last
+source side that raised lam, which is the least maximiser at the lam
+before it (all of V \\ R when the start is optimal).  The 2-density
+witness comes from the last pinned edge that raised lam, i.e. the first
+in sorted order whose sets reach the maximum, or is V(H) when no pinned
+set beats the whole graph.
+rooted_2_density pins edges only for sets that beat the rooted value,
+so ties keep the rooted witness.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
 from .graphs import Graph
 
 __all__ = [
-    "DEFAULT_ENUMERATION_LIMIT",
     "DensityValue",
     "RootedGraph",
     "ConcatenationBound",
@@ -43,11 +67,7 @@ __all__ = [
     "check_concatenation",
     "evaluate_rooted_ratio",
     "evaluate_two_density_ratio",
-    "blocks",
 ]
-
-DEFAULT_ENUMERATION_LIMIT = 24
-
 
 class DensityValue:
     """An exact density value with the witness vertex set attaining it.
@@ -124,187 +144,131 @@ def evaluate_two_density_ratio(g: Graph, witness: Iterable[int]) -> Fraction:
 
 
 # ===================================================================
-# Structure: components off the roots, biconnected blocks
+# Engine: Goldberg's min cut inside Dinkelbach's iteration
 # ===================================================================
 
 
-def _components_off_roots(g: Graph, roots: frozenset[int]) -> list[list[int]]:
-    adj = g.adjacency()
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n):
-        if start in roots or start in seen:
+def _source_side(nbrs, root_deg, lam: Fraction) -> set[int]:
+    """The least T maximising e(T u R) - lam |T|, read off an s-t min cut."""
+    a, b = lam.numerator, lam.denominator
+    verts = list(nbrs)
+    index = {v: i for i, v in enumerate(verts)}
+    s, t = len(verts), len(verts) + 1
+    head: list[list[int]] = [[] for _ in range(t + 1)]
+    to: list[int] = []
+    cap: list[int] = []
+
+    def arc(x, y, c, back):
+        head[x].append(len(to))
+        to.append(y)
+        cap.append(c)
+        head[y].append(len(to))
+        to.append(x)
+        cap.append(back)
+
+    for i, v in enumerate(verts):
+        w = b * (len(nbrs[v]) + 2 * root_deg[v]) - 2 * a
+        if w > 0:
+            arc(s, i, w, 0)
+        elif w < 0:
+            arc(i, t, -w, 0)
+        for x in nbrs[v]:
+            if index[x] > i:
+                arc(i, index[x], b, b)
+    while True:
+        level = [-1] * (t + 1)
+        level[s] = 0
+        queue = [s]
+        for x in queue:
+            for e in head[x]:
+                if cap[e] and level[to[e]] < 0:
+                    level[to[e]] = level[x] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            return {verts[x] for x in queue[1:]}
+        _blocking_flow(head, to, cap, level, s, t)
+
+
+def _blocking_flow(head, to, cap, level, s, t) -> None:
+    """Saturate every shortest s-t path (Dinic's phase), without recursion."""
+    ptr = [0] * len(head)
+    path: list[int] = []
+    x = s
+    while True:
+        if x == t:
+            f = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= f
+                cap[e ^ 1] += f
+            path.clear()
+            x = s
             continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in roots and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    frontier.append(w)
-        comps.append(sorted(comp))
-    return comps
+        arcs = head[x]
+        i = ptr[x]
+        while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == level[x] + 1):
+            i += 1
+        ptr[x] = i
+        if i < len(arcs):
+            path.append(arcs[i])
+            x = to[arcs[i]]
+        elif x == s:
+            return
+        else:
+            x = to[path.pop() ^ 1]
+            ptr[x] += 1
 
 
-def blocks(g: Graph) -> list[list[int]]:
-    """Vertex sets of the biconnected blocks (bridges appear as pairs)."""
-    adj = {v: sorted(g.adjacency()[v]) for v in range(g.n)}
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(g.n):
-        if root in disc:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        estack: list[tuple[int, int]] = []
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w not in disc:
-                    estack.append((v, w))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] >= disc[pv]:
-                    # one block finished: pop up to and including (pv, v)
-                    verts: set[int] = set()
-                    while estack:
-                        a, b = estack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                        if (a, b) == (pv, v):
-                            break
-                    if verts:
-                        out.append(sorted(verts))
-    return out
+def _dinkelbach(nbrs, root_deg, lam: Fraction, witness):
+    """Raise lam to max e(T u R) / |T| over nonempty T, if that beats it.
+
+    nbrs maps each free vertex to its free neighbours, root_deg to its
+    number of edges into the roots.  Returns (lam, witness): the witness
+    is the last source side that raised lam, or the given one if none did.
+    """
+    while True:
+        t = _source_side(nbrs, root_deg, lam)
+        if not t:
+            return lam, witness
+        twice_e = sum(2 * root_deg[v] + len(nbrs[v] & t) for v in t)
+        lam, witness = Fraction(twice_e, 2 * len(t)), t
 
 
-# ===================================================================
-# Subset enumeration (Gray code, integer cross-multiplied compares)
-# ===================================================================
+def _pinned_search(g: Graph, lam: Fraction, witness):
+    """Best (e(S) - 1) / (|S| - 2) over sets S that beat lam, pinning each edge.
 
-
-def _best_rooted_subset(g, comp, roots, best):
-    """Scan nonempty subsets of one component for max e(T u R)/|T|.
-
-    best is (num, den, witness_tuple) or None; returns the updated best.
-    Roots are always included: they add edges and never enter the
-    denominator, and root-root edges do not exist.
+    Returns (lam, witness), unchanged when no set beats lam.
     """
     adj = g.adjacency()
-    k = len(comp)
-    index = {v: i for i, v in enumerate(comp)}
-    nbr_bits = [0] * k
-    root_deg = [0] * k
-    for i, v in enumerate(comp):
-        for w in adj[v]:
-            if w in roots:
-                root_deg[i] += 1
-            elif w in index:
-                nbr_bits[i] |= 1 << index[w]
-    s = 0
-    members = 0
-    e_inner = 0
-    e_root = 0
-    for code in range(1, 1 << k):
-        b = (code ^ (code >> 1)) ^ ((code - 1) ^ ((code - 1) >> 1))
-        i = b.bit_length() - 1
-        if s & b:
-            s ^= b
-            e_inner -= (nbr_bits[i] & s).bit_count()
-            e_root -= root_deg[i]
-            members -= 1
-        else:
-            e_inner += (nbr_bits[i] & s).bit_count()
-            e_root += root_deg[i]
-            members += 1
-            s ^= b
-        num = e_inner + e_root
-        if best is not None:
-            cmp = num * best[1] - best[0] * members
-            if cmp < 0:
-                continue
-            if cmp == 0:
-                wit = tuple(comp[j] for j in range(k) if s >> j & 1)
-                if wit >= best[2]:
-                    continue
-                best = (num, members, wit)
-                continue
-        best = (num, members, tuple(comp[j] for j in range(k) if s >> j & 1))
-    return best
-
-
-def _best_two_density_subset(g, block, best):
-    """Scan subsets of one block (size >= 3) for max (e-1)/(v-2)."""
-    adj = g.adjacency()
-    k = len(block)
-    index = {v: i for i, v in enumerate(block)}
-    nbr_bits = [0] * k
-    for i, v in enumerate(block):
-        for w in adj[v]:
-            if w in index:
-                nbr_bits[i] |= 1 << index[w]
-    s = 0
-    members = 0
-    edges = 0
-    for code in range(1, 1 << k):
-        b = (code ^ (code >> 1)) ^ ((code - 1) ^ ((code - 1) >> 1))
-        i = b.bit_length() - 1
-        if s & b:
-            s ^= b
-            edges -= (nbr_bits[i] & s).bit_count()
-            members -= 1
-        else:
-            edges += (nbr_bits[i] & s).bit_count()
-            members += 1
-            s ^= b
-        if members < 3:
+    alive = set(range(g.n))
+    k = 0
+    for u, v in g.sorted_edges():
+        if math.floor(lam) + 1 > k:
+            k = math.floor(lam) + 1
+            _peel_to_core(adj, alive, k)
+        if u not in alive or v not in alive:
             continue
-        num = edges - 1
-        den = members - 2
-        if best is not None:
-            cmp = num * best[1] - best[0] * den
-            if cmp < 0:
-                continue
-            if cmp == 0:
-                wit = tuple(block[j] for j in range(k) if s >> j & 1)
-                if wit >= best[2]:
-                    continue
-                best = (num, den, wit)
-                continue
-        best = (num, den, tuple(block[j] for j in range(k) if s >> j & 1))
-    return best
+        free = alive - {u, v}
+        nbrs = {x: adj[x] & free for x in free}
+        root_deg = {x: (u in adj[x]) + (v in adj[x]) for x in free}
+        best, t = _dinkelbach(nbrs, root_deg, lam, None)
+        if t is not None:
+            lam, witness = best, tuple(sorted(t | {u, v}))
+    return lam, witness
 
 
-def _take_better(best, num, den, wit):
-    if best is None:
-        return (num, den, wit)
-    cmp = num * best[1] - best[0] * den
-    if cmp > 0 or (cmp == 0 and wit < best[2]):
-        return (num, den, wit)
-    return best
+def _peel_to_core(adj, alive: set[int], k: int) -> None:
+    """Shrink alive to the vertex set of the k-core of the graph it induces."""
+    deg = {v: len(adj[v] & alive) for v in alive}
+    low = [v for v in alive if deg[v] < k]
+    alive.difference_update(low)
+    while low:
+        v = low.pop()
+        for w in adj[v]:
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] < k:
+                    alive.discard(w)
+                    low.append(w)
 
 
 # ===================================================================
@@ -312,76 +276,40 @@ def _take_better(best, num, den, wit):
 # ===================================================================
 
 
-def max_rooted_density(
-    g: Graph, roots: Iterable[int], limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> DensityValue:
+def max_rooted_density(g: Graph, roots: Iterable[int]) -> DensityValue:
     """m(H, R): max e(H') / |V(H') \\ R|, exact, with witness."""
     rs = frozenset(roots)
     _check_roots_independent(g, rs)
-    comps = _components_off_roots(g, rs)
-    if not comps:
+    free = set(range(g.n)) - rs
+    if not free:
         raise ValueError("V(H) \\ R is empty")
-    for comp in comps:
-        if len(comp) > limit:
-            raise ValueError(
-                f"component of H - R has {len(comp)} vertices, "
-                f"enumeration limit is {limit}"
-            )
-    best = None
-    for comp in comps:
-        best = _best_rooted_subset(g, comp, rs, best)
-    witness = tuple(sorted(set(best[2]) | rs))
-    return DensityValue(Fraction(best[0], best[1]), witness, "rooted")
+    adj = g.adjacency()
+    nbrs = {v: adj[v] & free for v in free}
+    root_deg = {v: len(adj[v] & rs) for v in free}
+    lam, t = _dinkelbach(nbrs, root_deg, Fraction(g.m, len(free)), free)
+    return DensityValue(lam, tuple(sorted(t | rs)), "rooted")
 
 
-def max_2_density(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DensityValue:
+def max_2_density(g: Graph) -> DensityValue:
     """m_2(H): max (e(H') - 1) / (v(H') - 2) over v(H') >= 3, exact."""
+    _check_three_vertices(g)
+    lam, witness = _pinned_search(g, Fraction(g.m - 1, g.n - 2), tuple(range(g.n)))
+    return DensityValue(lam, witness, "two_density")
+
+
+def rooted_2_density(g: Graph, roots: Iterable[int]) -> DensityValue:
+    """m_2(H, R) = max(m(H, R), m_2(H)); ties prefer the rooted witness."""
+    rooted = max_rooted_density(g, roots)
+    _check_three_vertices(g)
+    lam, witness = _pinned_search(g, rooted.value, None)
+    if witness is None:
+        return rooted
+    return DensityValue(lam, witness, "two_density")
+
+
+def _check_three_vertices(g: Graph) -> None:
     if g.n < 3:
         raise ValueError(f"2-density needs at least 3 vertices, got {g.n}")
-    big_blocks = [b for b in blocks(g) if len(b) >= 3]
-    for b in big_blocks:
-        if len(b) > limit:
-            raise ValueError(
-                f"block has {len(b)} vertices, enumeration limit is {limit}"
-            )
-    best = None
-    for b in big_blocks:
-        best = _best_two_density_subset(g, b, best)
-    # Closed-form candidates for the cut/forest/matching cases.  When a
-    # block exists its value exceeds 1, so these only decide sparse
-    # graphs, but they are always compared for safety.
-    adj = g.adjacency()
-    two_path = None
-    for v in range(g.n):
-        if len(adj[v]) >= 2:
-            ns = sorted(adj[v])[:2]
-            two_path = tuple(sorted([v, ns[0], ns[1]]))
-            break
-    if two_path is not None:
-        best = _take_better(best, 1, 1, two_path)
-    elif g.m >= 2:
-        # max degree <= 1, so the two smallest edges are disjoint
-        es = g.sorted_edges()[:2]
-        best = _take_better(best, 1, 2, tuple(sorted(es[0] + es[1])))
-    elif g.m == 1:
-        u, v = g.sorted_edges()[0]
-        w = min(x for x in range(g.n) if x not in (u, v))
-        best = _take_better(best, 0, 1, tuple(sorted((u, v, w))))
-    else:
-        # edgeless: (0 - 1) / (v' - 2) is maximized by all of V
-        best = _take_better(best, -1, g.n - 2, tuple(range(g.n)))
-    return DensityValue(Fraction(best[0], best[1]), best[2], "two_density")
-
-
-def rooted_2_density(
-    g: Graph, roots: Iterable[int], limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> DensityValue:
-    """m_2(H, R) = max(m(H, R), m_2(H)); ties prefer the rooted witness."""
-    rooted = max_rooted_density(g, roots, limit=limit)
-    two = max_2_density(g, limit=limit)
-    if two.value > rooted.value:
-        return two
-    return rooted
 
 
 def rooted_degeneracy(g: Graph, roots: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -435,7 +363,6 @@ def check_concatenation(
     g: Graph,
     roots: Iterable[int],
     inner_vertices: Iterable[int],
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> ConcatenationBound:
     """Validate the concatenation premises and compute both pieces."""
     rs = frozenset(roots)
@@ -447,6 +374,6 @@ def check_concatenation(
     inner_edges = {e for e in g.edges if e[0] in inner and e[1] in inner}
     h1 = Graph(g.n, inner_edges)
     h2 = Graph(g.n, g.edges - inner_edges)
-    d1 = rooted_2_density(h1, rs, limit=limit)
-    d2 = rooted_2_density(h2, inner, limit=limit)
+    d1 = rooted_2_density(h1, rs)
+    d2 = rooted_2_density(h2, inner)
     return ConcatenationBound(d1, d2, max(d1.value, d2.value))

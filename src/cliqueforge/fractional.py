@@ -63,20 +63,6 @@ def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] 
     return [aug[i][n] for i in range(n)]
 
 
-def _solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Minimum-norm solution of an underdetermined full-row-rank system."""
-    rows = len(a)
-    cols = len(a[0])
-    gram = [
-        [sum(a[i][k] * a[j][k] for k in range(cols)) for j in range(rows)]
-        for i in range(rows)
-    ]
-    y = _solve_square(gram, b)
-    if y is None:
-        return None
-    return [sum(a[i][k] * y[i] for i in range(rows)) for k in range(cols)]
-
-
 # ===================================================================
 # Edge gadgets
 # ===================================================================
@@ -117,10 +103,8 @@ def _canonical_gadget(q: int, r: int) -> tuple[tuple[tuple[int, ...], Fraction],
         [Fraction(1 if set(row) <= set(col) else 0) for col in cols] for row in rows
     ]
     b = [Fraction(1 if row == e else 0) for row in rows]
-    if len(rows) == len(cols):
-        x = _solve_square(a, b)
-    else:
-        x = _solve_min_norm(a, b)
+    # square, since binom(q + r, r) = binom(q + r, q)
+    x = _solve_square(a, b)
     if x is None:
         raise AssertionError(
             f"internal error: gadget system (q={q}, r={r}) is singular"

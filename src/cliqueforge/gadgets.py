@@ -450,18 +450,7 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
         return edges, anti_p, beta_next
 
     sp1_edges, anti_p1, beta1 = mirrored_expansion(ex1, beta0)
-    # second mirror: expand primed S'_1 following the unprimed S2 pattern
-    anti_p2: dict[tuple[int, int], tuple[int, ...]] = {}
-    sp2_edge_list: list[tuple[int, int]] = []
-    beta2 = dict(beta1)
-    for e in s1.sorted_edges():
-        pu, pv = beta1[e[0]], beta1[e[1]]
-        ws = fresh.take(q - 2)
-        pe = (pu, pv) if pu < pv else (pv, pu)
-        anti_p2[pe] = ws
-        sp2_edge_list.extend(_anti_edge_pairs(pu, pv, ws))
-        for w, pw in zip(ex2.anti[e], ws):
-            beta2[w] = pw
+    sp2_edge_list, anti_p2, beta2 = mirrored_expansion(ex2, beta1)
 
     phi = beta2  # V(S2) -> V(S'_2), a graph isomorphism by construction
 
@@ -815,7 +804,7 @@ def _private_absorber_search(lg: Graph, support, q, max_fresh, budget_nodes):
                     if d2
                     else []
                 )
-                return n, Graph(n, a_edges), Packing(q, d1), Packing(q, d2)
+                return Graph(n, a_edges), Packing(q, d1), Packing(q, d2)
         except BudgetExceeded:
             continue
     return None
@@ -849,7 +838,7 @@ def naive_omni_absorber(
                 f"no private absorber for a divisible subgraph with "
                 f"{len(subset)} edges within {max_fresh} fresh vertices"
             )
-        privates.append((frozenset(subset), *found[1:]))
+        privates.append((frozenset(subset), *found))
 
     # relabel fresh vertices of each private absorber into one universe
     n = x.n

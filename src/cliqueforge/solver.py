@@ -327,41 +327,62 @@ def min_leave_packing(
             return 0
         return optimal_leave_number(Graph(g.n, und), q)
 
-    def rec() -> None:
+    def node():
+        """Charge one search node; its branches, or None at a leaf or a cut."""
         nonlocal best_leave, best_cliques, out_of_budget
-        if out_of_budget or best_leave <= global_lb:
-            return
         try:
             budget.spend()
         except BudgetExceeded:
             out_of_budget = True
-            return
-        target = None
-        for e in edge_range:
-            if e not in covered and e not in left:
-                target = e
-                break
+            return None
+        target = next((e for e in edge_range if e not in covered and e not in left), None)
         if target is None:
             if len(left) < best_leave:
                 best_leave = len(left)
                 best_cliques = list(chosen)
-            return
+            return None
         if len(left) + undecided_bound() >= best_leave:
-            return
+            return None
+        return branches(target)
+
+    def branches(target):
+        """Each clique through target that still fits, then leaving target."""
         for cid in index.through[target]:
             es = clique_edge_sets[cid]
-            if es & covered or es & left:
-                continue
+            if not (es & covered or es & left):
+                yield es, cid
+        yield {target}, None
+
+    # Depth-first on an explicit stack: stack[d] walks the branches of
+    # the open node at depth d, undo[d] is the move taken there.  The
+    # branch order and budget charges are those of the recursive search,
+    # without its depth limit (one level per decided edge).
+    root = node() if best_leave > global_lb else None
+    stack = [] if root is None else [root]
+    undo: list = []
+    while stack and not out_of_budget and best_leave > global_lb:
+        if len(undo) == len(stack):
+            es, cid = undo.pop()
+            if cid is None:
+                left.difference_update(es)
+            else:
+                covered.difference_update(es)
+                chosen.pop()
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            continue
+        es, cid = move
+        if cid is None:
+            left.update(es)
+        else:
             covered.update(es)
             chosen.append(cid)
-            rec()
-            chosen.pop()
-            covered.difference_update(es)
-        left.add(target)
-        rec()
-        left.discard(target)
+        undo.append(move)
+        child = node()
+        if child is not None:
+            stack.append(child)
 
-    rec()
     packing = Packing(q, [index.cliques[cid] for cid in best_cliques])
     status = "budget" if out_of_budget else "optimal"
     leave = g.m - qsize * len(best_cliques)

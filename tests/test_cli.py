@@ -177,14 +177,6 @@ def test_density_json_reports_the_witness(tmp_path, capsys):
     }
 
 
-def test_density_limit_above_default_warns(tmp_path, capsys):
-    f = tmp_path / "k4.txt"
-    f.write_text(serialize_graph(complete_graph(4)))
-    rc, _, stderr = run(["density", "--in", str(f), "--limit", "25"], capsys)
-    assert rc == 0
-    assert "warning" in stderr
-
-
 # ===================================================================
 # gadget bundles
 # ===================================================================

@@ -1,10 +1,13 @@
 """Rooted density functionals against subset-enumeration oracles.
 
-The gadget values pinned here were computed by exhaustive enumeration:
-for the anti-edge rooted at its missing pair the rooted 2-density is
-(q+1)/2 for q in 3..6; for the fake edge rooted at the pair alone the
-true values are 4/3 (q=3) and 25/12 (q=4), while (q+1)/2 is attained
-exactly when the hubs are rooted as well.
+The gadget values pinned here were first computed by exhaustive
+enumeration: for the anti-edge rooted at its missing pair the rooted
+2-density is (q+1)/2 for q in 3..6; for the fake edge rooted at the pair
+alone the true values are 4/3 (q=3) and 25/12 (q=4), while (q+1)/2 is
+attained exactly when the hubs are rooted as well.  At q=5 and q=6 (32
+and 62 vertices) the min-cut engine gives 27/10 and 49/15, which is
+e/(v-2) of the whole gadget, and (q+1)/2 again with the hubs rooted;
+the enumeration oracles cannot reach these sizes.
 """
 
 from fractions import Fraction
@@ -14,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforge.density import (
-    blocks,
     check_concatenation,
     evaluate_rooted_ratio,
     evaluate_two_density_ratio,
@@ -55,7 +57,7 @@ def independent_roots(g):
 # ===================================================================
 
 
-@given(graphs(7, min_n=2))
+@given(graphs(8, min_n=2))
 @settings(max_examples=120, deadline=None)
 def test_rooted_density_matches_oracle(g):
     roots = independent_roots(g)
@@ -66,7 +68,7 @@ def test_rooted_density_matches_oracle(g):
     assert evaluate_rooted_ratio(g, roots, got.witness) == got.value
 
 
-@given(graphs(7, min_n=3))
+@given(graphs(8, min_n=3))
 @settings(max_examples=120, deadline=None)
 def test_two_density_matches_oracle(g):
     got = max_2_density(g)
@@ -74,7 +76,7 @@ def test_two_density_matches_oracle(g):
     assert evaluate_two_density_ratio(g, got.witness) == got.value
 
 
-@given(graphs(7, min_n=3))
+@given(graphs(8, min_n=3))
 @settings(max_examples=100, deadline=None)
 def test_rooted_2_density_is_the_max(g):
     roots = independent_roots(g)
@@ -123,23 +125,23 @@ def test_anti_edge_rooted_2_density(q):
     assert got.value == Fraction(q + 1, 2)
 
 
-@pytest.mark.parametrize("q, want", [(3, Fraction(4, 3)), (4, Fraction(25, 12))])
+@pytest.mark.parametrize(
+    "q, want",
+    [(3, Fraction(4, 3)), (4, Fraction(25, 12)), (5, Fraction(27, 10)), (6, Fraction(49, 15))],
+)
 def test_fake_edge_rooted_2_density_at_pair(q, want):
     gad = fake_edge(q)
-    assert rooted_2_density(gad.graph, gad.roots).value == want
+    got = rooted_2_density(gad.graph, gad.roots)
+    assert got.value == want
+    assert got.kind == "rooted"
+    assert evaluate_rooted_ratio(gad.graph, gad.roots, got.witness) == want
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
 def test_fake_edge_rooted_2_density_with_hubs(q):
     gad = fake_edge(q)
     roots = gad.roots + tuple(range(2, q))
     assert rooted_2_density(gad.graph, roots).value == Fraction(q + 1, 2)
-
-
-def test_fake_edge_beyond_enumeration_limit_raises():
-    gad = fake_edge(5)
-    with pytest.raises(ValueError, match="limit"):
-        rooted_2_density(gad.graph, gad.roots)
 
 
 # ===================================================================
@@ -168,20 +170,14 @@ def test_two_density_needs_three_vertices():
         max_2_density(Graph(2, [(0, 1)]))
 
 
-def test_enumeration_limit_is_per_block():
-    # a long path has only 2-vertex blocks, so any limit >= 2 is fine
-    assert max_2_density(path_graph(40), limit=8).value == Fraction(1, 1)
-    # rooted enumeration is per component of H - R and honors the limit
-    with pytest.raises(ValueError, match="limit"):
-        max_rooted_density(path_graph(40), [])
-    got = max_rooted_density(path_graph(12), [], limit=12)
-    assert got.value == Fraction(11, 12)
-
-
-def test_blocks_of_two_triangles_sharing_a_vertex():
-    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    got = sorted(sorted(b) for b in blocks(g) if len(b) >= 3)
-    assert got == [[0, 1, 2], [2, 3, 4]]
+def test_long_path_has_no_size_cap():
+    g = path_graph(40)
+    got = max_rooted_density(g, [])
+    assert got.value == Fraction(39, 40)
+    assert evaluate_rooted_ratio(g, [], got.witness) == got.value
+    got = max_2_density(g)
+    assert got.value == Fraction(1, 1)
+    assert evaluate_two_density_ratio(g, got.witness) == got.value
 
 
 @given(graphs(7, min_n=3))

@@ -1,5 +1,8 @@
 """Exact search: clique enumeration, decomposition, minimum leave."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +174,20 @@ def test_min_leave_respects_budget():
     assert res.status == "budget"
     # the greedy seed is still a valid packing
     assert verify_packing(complete_graph(9), res.packing).valid
+
+
+def test_min_leave_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a path has no triangle, so the search leaves its 200 edges one
+    # level at a time, twice as deep as the lowered limit allows
+    g = Graph(201, [(i, i + 1) for i in range(200)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        res = min_leave_packing(g, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.status == "optimal"
+    assert res.leave == 200
 
 
 def test_exact_cover_generic_interface():
