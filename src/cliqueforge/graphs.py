@@ -26,6 +26,7 @@ __all__ = [
     "is_kq_divisible",
     "degree_residue_profile",
     "optimal_leave_number",
+    "leave_bound",
     "verify_packing",
     "leave_lower_bound_check",
     "parse_graph",
@@ -234,9 +235,18 @@ def optimal_leave_number(g: Graph | MultiGraph, q: int) -> int:
     2 e(H) = sum_v d_H(v) >= sum_v (d_G(v) mod (q-1)).
     """
     prof = degree_residue_profile(g, q)
+    return leave_bound(prof.edge_residue, sum(prof.degree_residues), q)
+
+
+def leave_bound(m: int, residue_sum: int, q: int) -> int:
+    """Least k = m mod binom(q,2) with 2k >= residue_sum.
+
+    optimal_leave_number of a graph with m edges whose degree residues
+    mod (q-1) sum to residue_sum.
+    """
     period = math.comb(q, 2)
-    lb = -(-sum(prof.degree_residues) // 2)  # ceil
-    k = prof.edge_residue
+    lb = -(-residue_sum // 2)  # ceil
+    k = m % period
     if k < lb:
         k += period * (-(-(lb - k) // period))
     return k

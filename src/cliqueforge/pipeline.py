@@ -94,90 +94,134 @@ def random_greedy_matching(h: CliqueIndex, rng):
 # ===================================================================
 
 
-def _fill_pass(h: CliqueIndex, chosen: list[int], used: set) -> int:
+def _mark(h: CliqueIndex, edges, blocked: list[int], delta: int) -> None:
+    """Add delta to blocked[t] of every hyperedge t through each edge."""
+    through = h.through
+    for x in edges:
+        for t in through[x]:
+            blocked[t] += delta
+
+
+def _fill_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[int]) -> int:
+    """Take every hyperedge with no used edge, in id order."""
     gain = 0
-    for i, hedge in enumerate(h.hedges):
-        if all(e not in used for e in hedge):
+    for i in range(len(blocked)):
+        if not blocked[i]:
+            hedge = h.hedges[i]
             chosen.append(i)
             used.update(hedge)
+            _mark(h, hedge, blocked, 1)
             gain += len(hedge)
     return gain
 
 
-def _augment_pass(h: CliqueIndex, chosen: list[int], used: set) -> int:
+def _refills(h: CliqueIndex, own: set, blockers: list[int], used: set,
+             blocked: list[int], share: int) -> list[int]:
+    """The refills of the move that takes the hyperedge with edge set own
+    and drops blockers, found without writing anything.
+
+    For each freed edge (the blockers' edges outside own, in blocker
+    order) not yet refilled, the first hyperedge through it that fits
+    is taken; _augment_pass states the fit test and the blocked skip.
+    """
+    hedges, through = h.hedges, h.through
+    freed = [x for c in blockers for x in hedges[c] if x not in own]
+    free = set(freed)
+    limit = len(blockers) * share
+    taken: set[int] = set()
+    fills: list[int] = []
+    for fe in freed:
+        if fe in taken:
+            continue
+        for t2 in through[fe]:
+            if blocked[t2] > limit:
+                continue
+            h2 = hedges[t2]
+            for x in h2:
+                if x in own or x in taken or (x in used and x not in free):
+                    break
+            else:
+                fills.append(t2)
+                taken.update(h2)
+                break
+    return fills
+
+
+def _augment_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[int]) -> int:
     """Swap out 1 or 2 blockers for a new hyperedge plus refills.
 
-    For each edge uncovered when the pass starts, try every hyperedge
-    through it whose conflicts touch at most two chosen hyperedges;
-    tentatively swap, refill greedily through the freed edges, and keep
+    For each edge uncovered when the pass starts, try every hyperedge t
+    through it whose used edges belong to one or two chosen hyperedges
+    (the blockers); refill greedily through the freed edges, and take
     the move only if it covers strictly more (at least as many refills
     as blockers).  Coverage strictly grows on every accepted move, so
     passes make progress until a fixpoint.
+
+    blocked[t] is the number of used edges of hyperedge t; it changes
+    only where an edge changes state, on accepted moves and fills.
+    Tentative moves read used, owner and blocked without writing them:
+    a refill fits iff every edge of it is unused or freed, is not in t,
+    and is not in an earlier refill.  Two distinct K_q share at most
+    C(q-1, 2) edges, so t needs blocked[t] <= 2 C(q-1, 2), and a refill
+    t2 against k blockers needs blocked[t2] <= k C(q-1, 2).
     """
+    hedges = h.hedges
     owner: dict[int, int] = {}
     for i in chosen:
-        for e in h.hedges[i]:
+        for e in hedges[i]:
             owner[e] = i
     chosen_set = set(chosen)
     gain = 0
-    per = len(h.hedges[0]) if h.hedges else 0
+    share = (h.q - 1) * (h.q - 2) // 2
     for e in [e for e in range(len(h.edges)) if e not in used]:
         if e in used:
             continue
         for t in h.through[e]:
-            hedge = h.hedges[t]
-            blockers = sorted({owner[x] for x in hedge if x in used})
-            if not 1 <= len(blockers) <= 2:
+            if not 0 < blocked[t] <= 2 * share:
                 continue
-            freed = [
-                x for c in blockers for x in h.hedges[c] if x not in hedge
-            ]
-            for c in blockers:
-                chosen_set.discard(c)
-                for x in h.hedges[c]:
-                    used.discard(x)
-                    owner.pop(x, None)
+            hedge = hedges[t]
+            blockers = sorted({owner[x] for x in hedge if x in used})
+            if len(blockers) > 2:
+                continue
+            own = set(hedge)
+            fills = _refills(h, own, blockers, used, blocked, share)
+            if len(fills) < len(blockers):
+                continue
+            before = {x for c in blockers for x in hedges[c]}
+            after = own.union(*(hedges[t2] for t2 in fills))
+            chosen_set.difference_update(blockers)
             chosen_set.add(t)
-            used.update(hedge)
-            for x in hedge:
-                owner[x] = t
-            fills = []
-            for fe in freed:
-                if fe in used:
-                    continue
-                for t2 in h.through[fe]:
-                    h2 = h.hedges[t2]
-                    if all(x not in used for x in h2):
-                        fills.append(t2)
-                        used.update(h2)
-                        for x in h2:
-                            owner[x] = t2
-                        break
-            if len(fills) >= len(blockers):
-                chosen_set.update(fills)
-                gain += per * (1 + len(fills) - len(blockers))
-                break
-            for t2 in fills:
-                for x in h.hedges[t2]:
-                    used.discard(x)
-                    owner.pop(x, None)
-            chosen_set.discard(t)
-            for x in hedge:
-                used.discard(x)
-                owner.pop(x, None)
-            for c in blockers:
-                chosen_set.add(c)
-                for x in h.hedges[c]:
-                    used.add(x)
-                    owner[x] = c
+            chosen_set.update(fills)
+            for t2 in (t, *fills):
+                for x in hedges[t2]:
+                    owner[x] = t2
+            dropped, added = before - after, after - before
+            for x in dropped:
+                del owner[x]
+            used.difference_update(dropped)
+            used.update(added)
+            _mark(h, dropped, blocked, -1)
+            _mark(h, added, blocked, 1)
+            gain += len(after) - len(before)
+            break
     chosen[:] = sorted(chosen_set)
     return gain
 
 
 def _polish(h: CliqueIndex, chosen: list[int], used: set, passes: int) -> int:
+    """Augment, then fill, until a pass gains nothing or passes run out.
+
+    Mutates chosen and used; returns the number of edges gained.  Both
+    passes share blocked[t], the number of used edges of hyperedge t.
+    """
+    blocked = [0] * len(h.hedges)
+    _mark(h, used, blocked, 1)
     total = 0
     for _ in range(passes):
-        gain = _augment_pass(h, chosen, used) + _fill_pass(h, chosen, used)
+        gain = (
+            _augment_pass(h, chosen, used, blocked)
+            + _fill_pass(h, chosen, used, blocked)
+        )
         total += gain
         if not gain:
             break

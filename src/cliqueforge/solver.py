@@ -12,12 +12,14 @@ the still-undecided subgraph (a valid lower bound on any completion).
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .graphs import (
     Graph,
     Packing,
     is_kq_divisible,
+    leave_bound,
     optimal_leave_number,
     union,
     verify_packing,
@@ -120,8 +122,7 @@ class CliqueIndex:
         self.edge_ids = ids = {e: i for i, e in enumerate(self.edges)}
         cliques = tuple(enumerate_cliques(g, q))
         self._set(cliques, tuple(
-            tuple(ids[c[i], c[j]] for i in range(q) for j in range(i + 1, q))
-            for c in cliques
+            tuple(map(ids.__getitem__, combinations(c, 2))) for c in cliques
         ))
 
     def _set(self, cliques, hedges) -> None:
@@ -297,91 +298,117 @@ class MinLeaveResult:
 def min_leave_packing(
     g: Graph, q: int, budget: SolveBudget | None = None
 ) -> MinLeaveResult:
-    """Branch and bound for a K_q packing minimizing the leave."""
+    """Branch and bound for a K_q packing minimizing the leave.
+
+    Each node branches on the first undecided edge (in id order): every
+    clique through it whose edges are all undecided, then leaving it.
+    The bound is the optimal leave number of the undecided subgraph,
+    kept as its edge count and per-vertex degrees, so a node costs
+    O(degree) rather than O(m).
+    """
     if budget is None:
         budget = SolveBudget(max_nodes=500_000)
     index = CliqueIndex(g, q)
-    edge_range = range(len(index.edges))
-    clique_edge_sets = [frozenset(hedge) for hedge in index.hedges]
+    hedges, through, edges = index.hedges, index.through, index.edges
+    m = len(edges)
     global_lb = optimal_leave_number(g, q)
 
     # greedy seed, lexicographic
     taken: list[int] = []
     used: set[int] = set()
-    for cid, es in enumerate(clique_edge_sets):
-        if not es & used:
+    for cid, hedge in enumerate(hedges):
+        if used.isdisjoint(hedge):
             taken.append(cid)
-            used |= es
+            used.update(hedge)
     best_leave = g.m - len(used)
     best_cliques = list(taken)
 
     qsize = q * (q - 1) // 2
-    covered: set[int] = set()
-    left: set[int] = set()
+    r = q - 1
+    decided = bytearray(m)
+    deg = g.degrees()  # undecided degree of each vertex
+    residues = sum(d % r for d in deg)
+    undecided = m
+    n_left = 0
     chosen: list[int] = []
     out_of_budget = False
 
-    def undecided_bound() -> int:
-        und = [index.edges[e] for e in edge_range if e not in covered and e not in left]
-        if not und:
-            return 0
-        return optimal_leave_number(Graph(g.n, und), q)
+    def flip(es, step: int) -> None:
+        """Decide the edges es (step 1) or undecide them (step -1)."""
+        nonlocal residues, undecided
+        undecided -= step * len(es)
+        for e in es:
+            decided[e] = step > 0
+            for v in edges[e]:
+                residues -= deg[v] % r
+                deg[v] -= step
+                residues += deg[v] % r
 
-    def node():
-        """Charge one search node; its branches, or None at a leaf or a cut."""
+    def node(start: int):
+        """Charge one search node; its target edge, or None at a leaf or a cut.
+
+        Every edge before start is decided: start is one past the parent's
+        target, which the move into this node decided.
+        """
         nonlocal best_leave, best_cliques, out_of_budget
         try:
             budget.spend()
         except BudgetExceeded:
             out_of_budget = True
             return None
-        target = next((e for e in edge_range if e not in covered and e not in left), None)
-        if target is None:
-            if len(left) < best_leave:
-                best_leave = len(left)
+        target = start
+        while target < m and decided[target]:
+            target += 1
+        if target == m:
+            if n_left < best_leave:
+                best_leave = n_left
                 best_cliques = list(chosen)
             return None
-        if len(left) + undecided_bound() >= best_leave:
+        if n_left + leave_bound(undecided, residues, q) >= best_leave:
             return None
-        return branches(target)
+        return target
 
     def branches(target):
         """Each clique through target that still fits, then leaving target."""
-        for cid in index.through[target]:
-            es = clique_edge_sets[cid]
-            if not (es & covered or es & left):
-                yield es, cid
-        yield {target}, None
+        for cid in through[target]:
+            hedge = hedges[cid]
+            if not any(decided[e] for e in hedge):
+                yield hedge, cid
+        yield (target,), None
 
     # Depth-first on an explicit stack: stack[d] walks the branches of
-    # the open node at depth d, undo[d] is the move taken there.  The
-    # branch order and budget charges are those of the recursive search,
-    # without its depth limit (one level per decided edge).
-    root = node() if best_leave > global_lb else None
-    stack = [] if root is None else [root]
+    # the open node at depth d, whose target edge is targets[d]; undo[d]
+    # is the move taken there.  The branch order and budget charges are
+    # those of the recursive search, without its depth limit (one level
+    # per decided edge).
+    root = node(0) if best_leave > global_lb else None
+    targets = [] if root is None else [root]
+    stack = [branches(t) for t in targets]
     undo: list = []
     while stack and not out_of_budget and best_leave > global_lb:
         if len(undo) == len(stack):
             es, cid = undo.pop()
+            flip(es, -1)
             if cid is None:
-                left.difference_update(es)
+                n_left -= 1
             else:
-                covered.difference_update(es)
                 chosen.pop()
         move = next(stack[-1], None)
         if move is None:
             stack.pop()
+            targets.pop()
             continue
         es, cid = move
+        flip(es, 1)
         if cid is None:
-            left.update(es)
+            n_left += 1
         else:
-            covered.update(es)
             chosen.append(cid)
         undo.append(move)
-        child = node()
+        child = node(targets[-1] + 1)
         if child is not None:
-            stack.append(child)
+            targets.append(child)
+            stack.append(branches(child))
 
     packing = Packing(q, [index.cliques[cid] for cid in best_cliques])
     status = "budget" if out_of_budget else "optimal"

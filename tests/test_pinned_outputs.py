@@ -4,8 +4,11 @@ The digest covers the schedule-free report JSON, the sorted cliques and
 the sorted deleted edges of a few fixed pipeline runs (the nibble with
 reserves and polish, a q=4 run, the exact-cutoff path, an absorber
 table hit, a regular host), plus exact-cover and minimum-leave results.
-Any change to a visit order or a random draw shows up here, so a
-refactor that promises identical outputs is held to it.
+A second digest covers two pack_gnp(160, 3/10, 3) calls, where polish
+makes hundreds of exchanges per call, and a min-leave search that runs
+out of its node budget.  Any change to a visit order or a random draw
+shows up here, so a refactor that promises identical outputs is held
+to it.
 """
 
 import hashlib
@@ -14,11 +17,12 @@ from fractions import Fraction
 
 from cliqueforge.pipeline import PackOptions, pack_gnd, pack_gnp
 from cliqueforge.randgraphs import gnp
-from cliqueforge.solver import exact_decomposition, min_leave_packing
+from cliqueforge.solver import SolveBudget, exact_decomposition, min_leave_packing
 
 from oracles import complete_graph
 
 PINNED = "f185a51ecc2ef1a38a380109d3b4402e8237e22deee6b03b0623f9b5d46b5043"
+PINNED_AT_SCALE = "3e822eb5902fa890c7b95e92c20454c94c38c7e4dd32c4af57d5fb5ce7355b71"
 
 
 def _pack_doc(rep):
@@ -52,10 +56,30 @@ def _outputs():
     return docs
 
 
+def _outputs_at_scale():
+    docs = [_pack_doc(pack_gnp(160, Fraction(3, 10), 3, s)) for s in (2000, 2001)]
+    g = gnp(60, Fraction(1, 5), 1)
+    res = min_leave_packing(g, 3, SolveBudget(max_nodes=3000))
+    docs.append([res.status, res.leave, res.nodes, sorted(res.packing.cliques)])
+    return docs
+
+
+def _digest(docs):
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
 def test_outputs_match_the_pinned_digest():
     docs = _outputs()
     assert docs[0][1]["stages"]["reserve"] > 0  # reserve completion ran
     assert docs[2][0] == "exact"  # the exact-cutoff path
     assert docs[3][1]["stages"]["absorbed"] == 3  # the absorber table hit
-    blob = json.dumps(docs, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == PINNED
+    assert _digest(docs) == PINNED
+
+
+def test_polish_heavy_outputs_match_the_pinned_digest():
+    """n=160 packs, where polish makes hundreds of exchanges, and a
+    min-leave search that runs into its node budget."""
+    docs = _outputs_at_scale()
+    assert [d[0] for d in docs[:2]] == ["embedded", "embedded"]
+    assert docs[2][:1] == ["budget"]
+    assert _digest(docs) == PINNED_AT_SCALE

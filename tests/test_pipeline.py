@@ -3,8 +3,11 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliqueforge.fixers import apply_fixer
 from cliqueforge.graphs import (
@@ -16,6 +19,7 @@ from cliqueforge.graphs import (
 )
 from cliqueforge.pipeline import (
     EmbedFailure,
+    _polish,
     PackOptions,
     bench,
     design_hypergraph,
@@ -29,7 +33,7 @@ from cliqueforge.pipeline import (
 )
 from cliqueforge.randgraphs import gnp, slice_graph, stream
 
-from oracles import complete_graph, max_codegree
+from oracles import complete_graph, max_codegree, reference_polish
 
 
 # ===================================================================
@@ -124,6 +128,41 @@ def test_random_greedy_matching_is_a_maximal_matching():
     # maximality: no hyperedge fits in the complement
     for hedge in h.hedges:
         assert any(e in used for e in hedge)
+
+
+@st.composite
+def partial_packings(draw):
+    """A host of at most 14 vertices, its K_q index, a random partial
+    packing (cliques drawn in random order, each kept or skipped) and a
+    pass count."""
+    q = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(q, 14))
+    sparse = draw(st.sampled_from([2, 3, 4]))  # edge density 1 - 1/sparse
+    pairs = list(combinations(range(n), 2))
+    picks = draw(st.lists(
+        st.integers(0, sparse - 1), min_size=len(pairs), max_size=len(pairs)
+    ))
+    h = design_hypergraph(Graph(n, [e for e, k in zip(pairs, picks) if k]), q)
+    order = draw(st.permutations(range(len(h))))
+    keep = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
+    chosen: list[int] = []
+    used: set[int] = set()
+    for t, k in zip(order, keep):
+        if k and used.isdisjoint(h.hedges[t]):
+            chosen.append(t)
+            used.update(h.hedges[t])
+    return h, chosen, used, draw(st.integers(1, 4))
+
+
+@given(partial_packings())
+@settings(max_examples=300, deadline=None)
+def test_polish_matches_the_mutate_and_revert_reference(instance):
+    h, chosen, used, passes = instance
+    ref_chosen, ref_used = list(chosen), set(used)
+    want = reference_polish(h.hedges, h.through, ref_chosen, ref_used, passes)
+    assert _polish(h, chosen, used, passes) == want
+    assert chosen == ref_chosen
+    assert used == ref_used
 
 
 def test_matching_with_reserves_completes_the_star_instance():
