@@ -1,10 +1,10 @@
 """Time the polish stage of pack_gnp(n, 3/10, q=3) and hash its outputs.
 
 Usage:
-    python benchmarks/polish_timing.py LABEL [--src DIR] [--repeats R]
+    python benchmarks/polish_timing.py LABEL [--src DIR]
 
 Runs pack_gnp at n = 160 (seeds 2000-2004) and n = 300 (seeds 7-9),
-each call R times (default 3), with the package imported from DIR
+each call REPEATS = 3 times, with the package imported from DIR
 (default: this checkout's src/).  _polish and _augment_pass are timed
 by rebinding the module attributes they are called through.  The run
 is stored under LABEL in benchmarks/BENCH_polish.json, next to the runs
@@ -30,6 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "BENCH_polish.json"
 CASES = {160: (2000, 2001, 2002, 2003, 2004), 300: (7, 8, 9)}
+REPEATS = 3
 
 
 def _timed(module, name, log):
@@ -70,14 +71,14 @@ def _median(xs):
     return round(statistics.median(xs), 1)
 
 
-def run(repeats: int) -> dict:
+def run() -> dict:
     from cliqueforge import pipeline
 
     cases = {}
     for n, seeds in CASES.items():
         calls = []
         for seed in seeds:
-            samples = [_one_call(pipeline, n, seed) for _ in range(repeats)]
+            samples = [_one_call(pipeline, n, seed) for _ in range(REPEATS)]
             digests = {s[3] for s in samples}
             if len(digests) != 1:
                 raise SystemExit(f"n={n} seed={seed}: outputs differ between repeats")
@@ -104,7 +105,7 @@ def run(repeats: int) -> dict:
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "repeats": repeats,
+        "repeats": REPEATS,
         "workload": "pack_gnp(n, 3/10, q=3)",
         "cases": cases,
     }
@@ -115,10 +116,9 @@ def main() -> None:
     ap.add_argument("label", help="key to store this run under, e.g. parent or change")
     ap.add_argument("--src", default=str(HERE.parent / "src"),
                     help="directory holding the cliqueforge package")
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    result = run(args.repeats)
+    result = run()
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc[args.label] = result
     OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
