@@ -303,10 +303,10 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
         if not c_e:
             continue
         scale = c_e / d
-        for qc in at:
-            gad = edge_gadget(q, 2, e, tuple(v for v in qc if v not in e))
-            for h, v in gad.psi.items():
-                psi[h] += scale * v
+        for qc in at:  # the canonical gadget relabeled: e first, then J
+            labels = e + tuple(v for v in qc if v not in e)
+            for h, v in _canonical_gadget(q, 2):
+                psi[tuple(sorted(map(labels.__getitem__, h)))] += scale * v
 
     weighting = CliqueWeighting(q, psi)
     for e in g.sorted_edges():

@@ -44,6 +44,12 @@ __all__ = [
     "fix_by_deletion",
 ]
 
+# Augment-and-fill passes per polish run, spanning-path attempts and
+# placement attempts per fake-edge gadget when embedding the fixer.
+POLISH_PASSES = 8
+HAMILTON_TRIES = 60
+GADGET_TRIES = 40
+
 
 # ===================================================================
 # Hypergraphs over edge ids
@@ -55,14 +61,14 @@ def design_hypergraph(g: Graph, q: int) -> CliqueIndex:
     return CliqueIndex(g, q)
 
 
-def reserve_hypergraph(pool: CliqueIndex, a) -> CliqueIndex:
-    """The pool cliques with exactly one edge in A, on the pool's edge ids.
+def reserve_hypergraph(index: CliqueIndex, zone) -> CliqueIndex:
+    """The view of the cliques with one edge in A and the rest in B.
 
-    A is a set of pool edge keys.  The cliques on A-edge e are
-    through[e], in lexicographic order: for q = 3, by ascending apex.
+    zone holds a byte per edge id of index: 1 for A, 2 for B, 0 for
+    neither.  The cliques on A-edge e are through[e], in lexicographic
+    order: for q = 3, by ascending apex.
     """
-    in_a = {pool.edge_ids[e] for e in a}
-    return pool.select(lambda hedge: sum(e in in_a for e in hedge) == 1)
+    return index.select(zone, ones=1)
 
 
 def random_greedy_matching(h: CliqueIndex, rng):
@@ -73,7 +79,7 @@ def random_greedy_matching(h: CliqueIndex, rng):
     accepted draw is uniform over the currently valid hyperedges.
     Returns the chosen hyperedge ids and the set of covered edge ids.
     """
-    pool = list(range(len(h.cliques)))
+    pool = list(h.live)
     used: set[int] = set()
     chosen: list[int] = []
     while pool:
@@ -105,7 +111,7 @@ def _mark(h: CliqueIndex, edges, blocked: list[int], delta: int) -> None:
 def _fill_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[int]) -> int:
     """Take every hyperedge with no used edge, in id order."""
     gain = 0
-    for i in range(len(blocked)):
+    for i in h.live:
         if not blocked[i]:
             hedge = h.hedges[i]
             chosen.append(i)
@@ -234,41 +240,37 @@ def _polish(h: CliqueIndex, chosen: list[int], used: set, passes: int) -> int:
 
 
 class ReserveMatchingResult:
-    """ok, the combined packing, per-source clique lists, stranded A-edges,
-    and the edge keys the packing covers."""
+    """ok, the nibble and reserve clique ids, the stranded A-edge ids and
+    the edge ids the packing covers, all in the ids of one clique index."""
 
-    __slots__ = (
-        "ok", "packing", "nibble_cliques", "reserve_cliques", "stranded", "covered",
-    )
+    __slots__ = ("ok", "nibble_cliques", "reserve_cliques", "stranded", "used")
 
-    def __init__(self, ok, packing, nibble_cliques, reserve_cliques, stranded, covered):
+    def __init__(self, ok, nibble_cliques, reserve_cliques, stranded, used):
         self.ok: bool = ok
-        self.packing: Packing = packing
-        self.nibble_cliques = nibble_cliques
-        self.reserve_cliques = reserve_cliques
-        self.stranded: tuple = stranded
-        self.covered: frozenset = covered
+        self.nibble_cliques: list[int] = nibble_cliques
+        self.reserve_cliques: list[int] = reserve_cliques
+        self.stranded: tuple[int, ...] = stranded
+        self.used: set[int] = used
 
     def __repr__(self):
         return f"ReserveMatchingResult(ok={self.ok}, stranded={len(self.stranded)})"
 
 
 def matching_with_reserves(
-    pool: CliqueIndex, a, rng, passes: int = 0
+    index: CliqueIndex, zone, rng, passes: int = 0
 ) -> ReserveMatchingResult:
-    """Nibble on the pool cliques inside A, then complete uncovered A-edges.
+    """Nibble on the cliques inside A, then complete uncovered A-edges.
 
-    A is a set of pool edge keys; the nibble hypergraph is the pool
-    cliques with every edge in A, the reserve hypergraph those with
-    exactly one.  Completion is scarcest-first: the A-edge with the
-    fewest remaining reserve cliques goes first (ties by edge order),
-    each choice uniform among its valid cliques.  Failure lists the
-    stranded A-edges; the returned packing is always a valid partial
-    packing.
+    zone marks A and B as reserve_hypergraph reads it; the nibble
+    hypergraph is the view of the cliques with every edge in A, the
+    reserve hypergraph the view with one edge in A and the rest in B.
+    Completion is scarcest-first: the A-edge with the fewest remaining
+    reserve cliques goes first (ties by edge id), each choice uniform
+    among its valid cliques.  Failure lists the stranded A-edges; the
+    chosen cliques always form a valid partial packing.
     """
-    in_a = {pool.edge_ids[e] for e in a}
-    nibble = pool.select(lambda hedge: all(e in in_a for e in hedge))
-    reserves = reserve_hypergraph(pool, a)
+    nibble = index.select(zone, ones=index.q * (index.q - 1) // 2)
+    reserves = reserve_hypergraph(index, zone)
 
     chosen, used = random_greedy_matching(nibble, rng)
     _polish(nibble, chosen, used, passes)
@@ -277,30 +279,25 @@ def matching_with_reserves(
     def options(e):
         return [
             t for t in reserves.through[e]
-            if not any(x in used for x in reserves.hedges[t])
+            if not any(x in used for x in index.hedges[t])
         ]
 
-    need = sorted(e for e in in_a if e not in used)
+    need = [e for e, z in enumerate(zone) if z == 1 and e not in used]
     reserve_chosen: list[int] = []
-    stranded: list = []
+    stranded: list[int] = []
     while need:
         _, target = min((len(options(e)), e) for e in need)
         need.remove(target)
         opts = options(target)
         if not opts:
-            stranded.append(pool.edges[target])
+            stranded.append(target)
             continue
         t = opts[rng.randrange(len(opts))]
         reserve_chosen.append(t)
-        used.update(reserves.hedges[t])
+        used.update(index.hedges[t])
 
-    nibble_cliques = [nibble.cliques[i] for i in chosen]
-    reserve_cliques = [reserves.cliques[i] for i in reserve_chosen]
-    packing = Packing(pool.q, nibble_cliques + reserve_cliques)
-    covered = frozenset(pool.edges[e] for e in used)
     return ReserveMatchingResult(
-        not stranded, packing, nibble_cliques, reserve_cliques, tuple(stranded),
-        covered,
+        not stranded, chosen, reserve_chosen, tuple(stranded), used
     )
 
 
@@ -400,8 +397,6 @@ def embed_fixer(
     q: int,
     rng,
     gadget_pool: Graph,
-    hamilton_tries: int = 60,
-    gadget_tries: int = 40,
 ) -> EmbeddedFixer:
     """Place a spanning fixer: path power outside the pool, gadgets in it.
 
@@ -413,7 +408,7 @@ def embed_fixer(
     demand = (t - 1) * (q * (q - 1) - 1) + 2
     prefixes = _fat_prefixes(body, gadget_pool, t, demand)
     order = None
-    per = max(4, hamilton_tries // max(1, len(prefixes)))
+    per = max(4, HAMILTON_TRIES // max(1, len(prefixes)))
     for prefix in prefixes:
         order = _hamilton_path_power(
             body, q - 2, rng, per, need_02=False, prefix=list(prefix)
@@ -422,7 +417,7 @@ def embed_fixer(
             break
     if order is None:
         order = _hamilton_path_power(
-            body, q - 2, rng, hamilton_tries, need_02=(q == 3)
+            body, q - 2, rng, HAMILTON_TRIES, need_02=(q == 3)
         )
     if order is None:
         raise EmbedFailure("no spanning path power found")
@@ -453,7 +448,7 @@ def embed_fixer(
         u, v, _ = key
         ru, rv = order[u], order[v]
         placed = None
-        for _ in range(gadget_tries):
+        for _ in range(GADGET_TRIES):
             mp = {0: ru, 1: rv}
             hub_pool = sorted(
                 (w for w in range(g.n) if w not in (ru, rv) and len(avail[w]) >= q),
@@ -681,9 +676,6 @@ class PackOptions:
         "absorb",
         "absorb_cap",
         "exact_cutoff",
-        "polish_passes",
-        "hamilton_tries",
-        "gadget_tries",
     )
 
     def __init__(
@@ -693,18 +685,12 @@ class PackOptions:
         absorb: bool = False,
         absorb_cap: int = 6,
         exact_cutoff: int = 30,
-        polish_passes: int = 8,
-        hamilton_tries: int = 60,
-        gadget_tries: int = 40,
     ):
         self.reserve_frac = Fraction(reserve_frac)
         self.gadget_frac = Fraction(gadget_frac)
         self.absorb = absorb
         self.absorb_cap = absorb_cap
         self.exact_cutoff = exact_cutoff
-        self.polish_passes = polish_passes
-        self.hamilton_tries = hamilton_tries
-        self.gadget_tries = gadget_tries
 
 
 class PackReport:
@@ -861,9 +847,7 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     base = g
     deleted: list = []
     try:
-        emb = embed_fixer(
-            g, q, rng_embed, gadget_pool, opts.hamilton_tries, opts.gadget_tries
-        )
+        emb = embed_fixer(g, q, rng_embed, gadget_pool)
         fixer_edges = frozenset(emb.realized_edges())
         fixer_mode = "embedded"
     except EmbedFailure:
@@ -880,16 +864,19 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     if opts.absorb and q == 3 and 0 < x_res.m <= opts.absorb_cap:
         absorber = _reserve_absorber(g, x_res, main, q)
     aside = absorber[2] if absorber else frozenset()
-    if aside:
-        main = Graph(g.n, main.edges - aside)
 
-    # (iv) + (v) nibble on the main slice, completion through reserves;
-    # both hypergraphs are read off one clique index of main + reserves
-    pool_index = design_hypergraph(Graph(g.n, main.edges | x_res.edges), q)
-    match = matching_with_reserves(
-        pool_index, main.edges, rng_nibble, opts.polish_passes
-    )
-    reserve_set = set(match.reserve_cliques)
+    # (iv) + (v) nibble on the main slice A, completion through reserve
+    # cliques; every hypergraph from here on is a view of one clique
+    # index of g, so clique and edge ids pass between stages unchanged
+    index = design_hypergraph(g, q)
+    ids = index.edge_ids
+    zone = bytearray(len(index.edges))
+    for e in main.edges - aside:
+        zone[ids[e]] = 1
+    for e in x_res.edges:
+        zone[ids[e]] = 2
+    match = matching_with_reserves(index, zone, rng_nibble, POLISH_PASSES)
+    chosen, used = match.nibble_cliques + match.reserve_cliques, match.used
 
     # (vi) apply the fixer, then polish globally over the remainder;
     # with a live absorber the zone's unused edges are off limits (they
@@ -902,13 +889,12 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     armed = absorber is not None and len(absorber[0].table) > 1
     exclude = set(aside)
     if armed:
-        exclude |= x_res.edges - match.covered
-    h_full = design_hypergraph(Graph(g.n, base.edges - exclude), q)
-    index = {c: i for i, c in enumerate(h_full.cliques)}
-    chosen = [index[c] for c in match.packing.cliques]
-    used = {e for i in chosen for e in h_full.hedges[i]}
-    _polish(h_full, chosen, used, opts.polish_passes)
-    cliques = [h_full.cliques[i] for i in chosen]
+        exclude.update(e for e in x_res.edges if ids[e] not in used)
+    free = bytearray(len(index.edges))
+    for e in base.edges - exclude:
+        free[ids[e]] = 1
+    _polish(index.select(free), chosen, used, POLISH_PASSES)
+    cliques = [index.cliques[t] for t in chosen]
     covered = len(used)
 
     # (vii) absorb: if the leftover sits inside the zone, the table
@@ -917,7 +903,7 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     if absorber is not None:
         omni, mapping, _ = absorber
         leftover = frozenset(
-            base.edges - aside - {h_full.edges[e] for e in used}
+            base.edges - aside - {index.edges[e] for e in used}
         )
         if leftover in omni.table:
             for c in omni.table[leftover].cliques:
@@ -925,7 +911,8 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
                 stages["absorbed"] += per
             covered += len(leftover) + len(aside)
 
-    stages["reserve"] = per * sum(1 for c in cliques if c in reserve_set)
+    reserve_ids = set(match.reserve_cliques)
+    stages["reserve"] = per * sum(1 for t in chosen if t in reserve_ids)
     stages["nibble"] = covered - stages["reserve"] - stages["absorbed"]
     packing = Packing(q, cliques)
     leave = base.m - covered

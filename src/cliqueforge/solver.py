@@ -12,6 +12,7 @@ the still-undecided subgraph (a valid lower bound on any completion).
 from __future__ import annotations
 
 import time
+from copy import copy
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -111,41 +112,46 @@ class CliqueIndex:
     edge_ids its inverse.  cliques are in lexicographic order; hedges[t]
     holds the edge ids of clique t in pair order (c0c1, c0c2, ...), and
     through[e] the ids of the cliques on edge e, ascending.  Loops over
-    ids therefore visit edges and cliques in their key order.
+    ids therefore visit edges and cliques in their key order.  live lists
+    the index's clique ids, ascending; a view from select shares all else
+    with its parent and narrows live and through, so ids pass unchanged.
     """
 
-    __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "through")
+    __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "live", "through")
 
     def __init__(self, g: Graph, q: int):
         self.q = q
         self.edges: tuple[tuple[int, int], ...] = tuple(g.sorted_edges())
         self.edge_ids = ids = {e: i for i, e in enumerate(self.edges)}
-        cliques = tuple(enumerate_cliques(g, q))
-        self._set(cliques, tuple(
-            tuple(map(ids.__getitem__, combinations(c, 2))) for c in cliques
-        ))
+        self.cliques: tuple[tuple[int, ...], ...] = tuple(enumerate_cliques(g, q))
+        self.hedges: tuple[tuple[int, ...], ...] = tuple(
+            tuple(map(ids.__getitem__, combinations(c, 2))) for c in self.cliques
+        )
+        self._narrow(range(len(self.cliques)))
 
-    def _set(self, cliques, hedges) -> None:
-        self.cliques: tuple[tuple[int, ...], ...] = cliques
-        self.hedges: tuple[tuple[int, ...], ...] = hedges
+    def _narrow(self, live) -> None:
+        self.live = live
         through: list[list[int]] = [[] for _ in self.edges]
-        for t, hedge in enumerate(hedges):
-            for e in hedge:
+        for t in live:
+            for e in self.hedges[t]:
                 through[e].append(t)
         self.through = through
 
-    def select(self, keep) -> CliqueIndex:
-        """The cliques whose edge-id tuple passes keep, on the same edge ids."""
-        sub = object.__new__(CliqueIndex)
-        sub.q, sub.edges, sub.edge_ids = self.q, self.edges, self.edge_ids
-        ts = [t for t, hedge in enumerate(self.hedges) if keep(hedge)]
-        sub._set(
-            tuple(self.cliques[t] for t in ts), tuple(self.hedges[t] for t in ts)
-        )
-        return sub
+    def select(self, mask, ones: int | None = None) -> CliqueIndex:
+        """The view of the cliques whose edges all have nonzero bytes in mask
+        (one per edge id) and, given ones, exactly that many bytes of 1."""
+        get = mask.__getitem__
+        live = []
+        for t in self.live:
+            seen = bytes(map(get, self.hedges[t]))
+            if 0 not in seen and (ones is None or seen.count(1) == ones):
+                live.append(t)
+        view = copy(self)
+        view._narrow(live)
+        return view
 
     def __len__(self):
-        return len(self.cliques)
+        return len(self.live)
 
 
 # ===================================================================

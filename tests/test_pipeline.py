@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliqueforge import pipeline, solver
 from cliqueforge.fixers import apply_fixer
 from cliqueforge.graphs import (
     Graph,
+    Packing,
     is_kq_divisible,
     optimal_leave_number,
     union,
@@ -65,26 +67,55 @@ def test_design_hyperedges_are_clique_edge_sets():
         assert set(pairs) == {(c[0], c[1]), (c[0], c[2]), (c[1], c[2])}
 
 
+def _zone(index, a, b):
+    """The edge bytes reserve_hypergraph reads: 1 on A, 2 on B."""
+    zone = bytearray(len(index.edges))
+    for e in a:
+        zone[index.edge_ids[e]] = 1
+    for e in b:
+        zone[index.edge_ids[e]] = 2
+    return zone
+
+
 def test_reserve_hypergraph_one_target_edge_each():
     # star reserves at the apex: wedges in B closed by an A edge
     n = 6
     b = {(i, n - 1) for i in range(n - 1)}
     a = {(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)}
     pool = design_hypergraph(complete_graph(n), 3)
-    h = reserve_hypergraph(pool, a)
+    h = reserve_hypergraph(pool, _zone(pool, a, b))
     assert h.edges == pool.edges
     assert len(h) == math.comb(n - 1, 2)
-    for hedge in h.hedges:
-        keys = [h.edges[e] for e in hedge]
+    for t in h.live:
+        keys = [h.edges[e] for e in h.hedges[t]]
         assert sum(1 for e in keys if e in a) == 1
         assert sum(1 for e in keys if e in b) == 2
+
+
+def test_reserve_hypergraph_drops_cliques_off_a_and_b():
+    # K_6 with apex 5: B its star, A the edges among 0..4 except 01,
+    # which is in neither slice, so the reserve clique 015 is gone
+    n = 6
+    b = {(i, n - 1) for i in range(n - 1)}
+    a = {(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)} - {(0, 1)}
+    pool = design_hypergraph(complete_graph(n), 3)
+    h = reserve_hypergraph(pool, _zone(pool, a, b))
+    assert len(h) == math.comb(n - 1, 2) - 1
+    assert [pool.cliques[t] for t in h.live] == [
+        (i, j, n - 1) for i, j in sorted(a)
+    ]
+    assert h.through[pool.edge_ids[0, 1]] == []
+    # with 01 back in A, the clique 015 is a reserve clique again
+    h = reserve_hypergraph(pool, _zone(pool, a | {(0, 1)}, b))
+    assert len(h) == math.comb(n - 1, 2)
 
 
 def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
     # the completion stage draws by position in these lists
     g = gnp(14, Fraction(3, 5), 2)
     b, a = slice_graph(g, Fraction(1, 3), 1, 2)
-    h = reserve_hypergraph(design_hypergraph(g, 3), a.edges)
+    pool = design_hypergraph(g, 3)
+    h = reserve_hypergraph(pool, _zone(pool, a.edges, b.edges))
     badj = b.adjacency()
     for e in sorted(a.edges):
         apexes = [
@@ -100,16 +131,17 @@ def test_reserve_hypergraph_q4():
     a = {e for e in g.edges if e not in b}
     pool = design_hypergraph(g, 4)
     # no K_4 has exactly one edge outside the apex star, or one inside it
-    assert len(reserve_hypergraph(pool, a)) == 0
-    assert len(reserve_hypergraph(pool, b)) == 0
+    assert len(reserve_hypergraph(pool, _zone(pool, a, b))) == 0
+    assert len(reserve_hypergraph(pool, _zone(pool, b, a))) == 0
     # a perfect matching of K_6: a K_4 holds exactly one matching edge
     # unless the two vertices it misses are matched (3 of 15)
-    pool = design_hypergraph(complete_graph(6), 4)
+    k6 = complete_graph(6)
+    pool = design_hypergraph(k6, 4)
     matching = {(0, 1), (2, 3), (4, 5)}
-    h = reserve_hypergraph(pool, matching)
+    h = reserve_hypergraph(pool, _zone(pool, matching, k6.edges - matching))
     assert len(h) == 12
-    for hedge in h.hedges:
-        assert sum(1 for e in hedge if h.edges[e] in matching) == 1
+    for t in h.live:
+        assert sum(1 for e in h.hedges[t] if h.edges[e] in matching) == 1
 
 
 # ===================================================================
@@ -171,15 +203,19 @@ def test_matching_with_reserves_completes_the_star_instance():
     b = {(i, n - 1) for i in range(n - 1)}
     a = frozenset(g.edges - b)
     pool = design_hypergraph(g, 3)
+    zone = _zone(pool, a, b)
     oks = 0
     for seed in range(6):
-        res = matching_with_reserves(pool, a, stream(seed, "mwr"))
-        rep = verify_packing(g, res.packing)
+        res = matching_with_reserves(pool, zone, stream(seed, "mwr"))
+        cliques = [pool.cliques[t] for t in res.nibble_cliques + res.reserve_cliques]
+        rep = verify_packing(g, Packing(3, cliques))
         assert rep.valid
-        covered = {e for c in res.packing.cliques for e in _pairs(c)}
-        assert res.covered == covered
+        assert all(_pairs(pool.cliques[t]) <= a for t in res.nibble_cliques)
+        assert all(len(_pairs(pool.cliques[t]) & a) == 1 for t in res.reserve_cliques)
+        covered = {e for c in cliques for e in _pairs(c)}
+        assert {pool.edges[e] for e in res.used} == covered
         assert res.ok == (covered & a == a)
-        assert set(res.stranded) == a - covered
+        assert {pool.edges[e] for e in res.stranded} == a - covered
         if res.ok:
             oks += 1
         else:
@@ -246,6 +282,27 @@ def check_report(rep, g):
 def test_pack_gnp_report_accounting(seed):
     rep = pack_gnp(40, Fraction(2, 5), 3, seed)
     check_report(rep, gnp(40, Fraction(2, 5), seed))
+
+
+@pytest.mark.parametrize("mode, sample", [
+    ("embedded", lambda: pack_gnp(80, Fraction(2, 5), 3, 1)),
+    ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2)),
+])
+def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
+    # the nibble, reserve and global-polish hypergraphs are views of one
+    # index, so neither entry point runs a second time
+    calls = []
+    for module, name in ((pipeline, "design_hypergraph"), (solver, "enumerate_cliques")):
+        f = getattr(module, name)
+
+        def counted(*args, f=f, name=name):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = sample()
+    assert rep.fixer_mode == mode and rep.valid
+    assert calls == ["design_hypergraph", "enumerate_cliques"]
 
 
 def test_pack_gnp_exact_cutoff_path():

@@ -62,13 +62,30 @@ def test_clique_index_edge_lookup():
 def test_clique_index_select_keeps_edge_ids_and_order():
     index = CliqueIndex(complete_graph(6), 3)
     e01 = index.edge_ids[0, 1]
-    sub = index.select(lambda hedge: e01 not in hedge)
-    assert sub.edges is index.edges
-    assert list(sub.cliques) == [c for c in index.cliques if c[:2] != (0, 1)]
-    assert sub.through[e01] == []
-    for e, ts in enumerate(sub.through):
+    mask = bytearray([1]) * len(index.edges)
+    mask[e01] = 0
+    view = index.select(mask)
+    assert view.edges is index.edges and view.cliques is index.cliques
+    # the view keeps its parent's clique ids and counts only its own cliques
+    assert view.live == [t for t, c in enumerate(index.cliques) if c[:2] != (0, 1)]
+    assert len(view) == 20 - 4 and len(index) == 20
+    assert view.through[e01] == []
+    for e, ts in enumerate(view.through):
         assert ts == sorted(ts)
-        assert all(e in sub.hedges[t] for t in ts)
+        assert all(e in view.hedges[t] for t in ts)
+        assert ts == [t for t in index.through[e] if t in view.live]
+    # ones: byte 1 on the edges off vertex 0, byte 2 on its star, so the
+    # cliques with exactly one byte-1 edge are those through vertex 0
+    star = bytearray(2 if e[0] == 0 else 1 for e in index.edges)
+    through_0 = index.select(star, ones=1)
+    assert [index.cliques[t] for t in through_0.live] == [
+        c for c in index.cliques if c[0] == 0
+    ]
+    assert len(index.select(star, ones=3)) == 10
+    # a view of a view narrows within its parent's cliques
+    assert view.select(star, ones=1).live == [
+        t for t in through_0.live if t in view.live
+    ]
 
 
 # ===================================================================
