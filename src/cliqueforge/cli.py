@@ -82,6 +82,18 @@ def _read_graph(path: str):
     return parse_graph(_read_text(path))
 
 
+def _parse_file(path: str, parse):
+    """parse(the text of path); a malformed document is a ValueError
+    that names path."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except KeyError as exc:
+        raise ValueError(f"bad {path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad {path}: {exc}") from None
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -149,12 +161,7 @@ def _write_bundle(args, obj) -> int:
 
 def _load_bundle_files(path: str):
     graph = _read_graph(path)
-    sidecar_path = path + ".json"
-    try:
-        sidecar = json.loads(_read_text(sidecar_path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad sidecar {sidecar_path}: {exc}") from None
-    return load_bundle(graph, sidecar)
+    return _parse_file(path + ".json", lambda text: load_bundle(graph, json.loads(text)))
 
 
 # ===================================================================
@@ -276,7 +283,7 @@ def cmd_fixer_select(args) -> int:
 
 def cmd_fixer_apply(args) -> int:
     g = _read_graph(args.graph)
-    emb = EmbeddedFixer.from_json(_read_text(args.emb))
+    emb = _parse_file(args.emb, EmbeddedFixer.from_json)
     res = apply_fixer(g, emb)
     if args.out is not None:
         Path(args.out).write_text(serialize_graph(res.graph))

@@ -796,7 +796,7 @@ def _private_absorber_search(lg: Graph, support, q, max_fresh, budget_nodes):
             rows.append((("skip", f), [("D1", f), ("D2", f)]))
         budget = SolveBudget(max_nodes=budget_nodes)
         try:
-            for sol in exact_cover_solutions(cols, (), rows, budget):
+            for sol in exact_cover_solutions(cols, rows, budget):
                 d1 = [key[1] for key in sol if key[0] == "d1"]
                 d2 = [key[1] for key in sol if key[0] == "d2"]
                 a_edges = sorted(

@@ -61,25 +61,35 @@ def design_hypergraph(g: Graph, q: int) -> CliqueIndex:
     return CliqueIndex(g, q)
 
 
-def reserve_hypergraph(index: CliqueIndex, zone) -> CliqueIndex:
-    """The view of the cliques with one edge in A and the rest in B.
+def reserve_hypergraph(index: CliqueIndex, zone, edges) -> dict[int, list[int]]:
+    """For each A-edge e in edges, the reserve cliques on it: those in
+    through[e] whose other edges all lie in B, ascending.
 
     zone holds a byte per edge id of index: 1 for A, 2 for B, 0 for
-    neither.  The cliques on A-edge e are through[e], in lexicographic
-    order: for q = 3, by ascending apex.
+    neither.  Ascending ids are lexicographic order: for q = 3, the
+    cliques on e come by ascending apex.
     """
-    return index.select(zone, ones=1)
+    hedges, through = index.hedges, index.through
+    return {
+        e: [t for t in through[e] if all(zone[x] == 2 for x in hedges[t] if x != e)]
+        for e in edges
+    }
 
 
-def random_greedy_matching(h: CliqueIndex, rng):
-    """Uniform random greedy to maximality.
+def random_greedy_matching(index: CliqueIndex, rng, fence):
+    """Uniform random greedy to maximality, off the fenced edge ids.
 
-    Draws hyperedges uniformly from the remaining pool (conflicted ones
-    are discarded as drawn; they can never become valid again), so each
-    accepted draw is uniform over the currently valid hyperedges.
-    Returns the chosen hyperedge ids and the set of covered edge ids.
+    Draws cliques uniformly from the remaining pool, which starts as the
+    cliques with no fenced edge in id order (conflicted ones are
+    discarded as drawn; they can never become valid again), so each
+    accepted draw is uniform over the currently valid cliques.
+    Returns the chosen clique ids and the set of covered edge ids.
     """
-    pool = list(h.live)
+    live = bytearray([1]) * len(index.hedges)
+    for e in fence:
+        for t in index.through[e]:
+            live[t] = 0
+    pool = list(itertools.compress(range(len(live)), live))
     used: set[int] = set()
     chosen: list[int] = []
     while pool:
@@ -87,7 +97,7 @@ def random_greedy_matching(h: CliqueIndex, rng):
         idx = pool[i]
         pool[i] = pool[-1]
         pool.pop()
-        hedge = h.hedges[idx]
+        hedge = index.hedges[idx]
         if any(e in used for e in hedge):
             continue
         chosen.append(idx)
@@ -109,10 +119,10 @@ def _mark(h: CliqueIndex, edges, blocked: list[int], delta: int) -> None:
 
 
 def _fill_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[int]) -> int:
-    """Take every hyperedge with no used edge, in id order."""
+    """Take every hyperedge with no used or fenced edge, in id order."""
     gain = 0
-    for i in h.live:
-        if not blocked[i]:
+    for i, b in enumerate(blocked):
+        if not b:
             hedge = h.hedges[i]
             chosen.append(i)
             used.update(hedge)
@@ -214,14 +224,18 @@ def _augment_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[in
     return gain
 
 
-def _polish(h: CliqueIndex, chosen: list[int], used: set, passes: int) -> int:
+def _polish(h: CliqueIndex, chosen: list[int], used: set, passes: int, fence) -> int:
     """Augment, then fill, until a pass gains nothing or passes run out.
 
     Mutates chosen and used; returns the number of edges gained.  Both
     passes share blocked[t], the number of used edges of hyperedge t.
+    Polish may not use the edge ids in fence: each adds 2 C(q-1, 2) + 1
+    to blocked[t] of the hyperedges on it, above every bound of a take,
+    try or refill (see _augment_pass), and moves never unmark it.
     """
     blocked = [0] * len(h.hedges)
     _mark(h, used, blocked, 1)
+    _mark(h, fence, blocked, (h.q - 1) * (h.q - 2) + 1)
     total = 0
     for _ in range(passes):
         gain = (
@@ -261,28 +275,27 @@ def matching_with_reserves(
 ) -> ReserveMatchingResult:
     """Nibble on the cliques inside A, then complete uncovered A-edges.
 
-    zone marks A and B as reserve_hypergraph reads it; the nibble
-    hypergraph is the view of the cliques with every edge in A, the
-    reserve hypergraph the view with one edge in A and the rest in B.
-    Completion is scarcest-first: the A-edge with the fewest remaining
-    reserve cliques goes first (ties by edge id), each choice uniform
-    among its valid cliques.  Failure lists the stranded A-edges; the
-    chosen cliques always form a valid partial packing.
+    zone marks A and B as reserve_hypergraph reads it; the nibble and
+    its polish fence every edge outside A, and completion draws from the
+    reserve cliques of each uncovered A-edge.  Completion is
+    scarcest-first: the A-edge with the fewest remaining reserve cliques
+    goes first (ties by edge id), each choice uniform among its valid
+    cliques.  Failure lists the stranded A-edges; the chosen cliques
+    always form a valid partial packing.
     """
-    nibble = index.select(zone, ones=index.q * (index.q - 1) // 2)
-    reserves = reserve_hypergraph(index, zone)
+    fence = [e for e, z in enumerate(zone) if z != 1]
+    chosen, used = random_greedy_matching(index, rng, fence)
+    _polish(index, chosen, used, passes, fence)
 
-    chosen, used = random_greedy_matching(nibble, rng)
-    _polish(nibble, chosen, used, passes)
+    need = [e for e, z in enumerate(zone) if z == 1 and e not in used]
+    reserves = reserve_hypergraph(index, zone, need)
 
-    # through[e] of an A-edge e: the reserve cliques whose one A-edge is e
     def options(e):
         return [
-            t for t in reserves.through[e]
+            t for t in reserves[e]
             if not any(x in used for x in index.hedges[t])
         ]
 
-    need = [e for e, z in enumerate(zone) if z == 1 and e not in used]
     reserve_chosen: list[int] = []
     stranded: list[int] = []
     while need:
@@ -866,8 +879,8 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     aside = absorber[2] if absorber else frozenset()
 
     # (iv) + (v) nibble on the main slice A, completion through reserve
-    # cliques; every hypergraph from here on is a view of one clique
-    # index of g, so clique and edge ids pass between stages unchanged
+    # cliques; every stage from here on works on one clique index of g,
+    # fencing the edges it may not use, so ids pass between stages
     index = design_hypergraph(g, q)
     ids = index.edge_ids
     zone = bytearray(len(index.edges))
@@ -890,10 +903,8 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     exclude = set(aside)
     if armed:
         exclude.update(e for e in x_res.edges if ids[e] not in used)
-    free = bytearray(len(index.edges))
-    for e in base.edges - exclude:
-        free[ids[e]] = 1
-    _polish(index.select(free), chosen, used, POLISH_PASSES)
+    fence = [ids[e] for e in exclude.union(deleted)]
+    _polish(index, chosen, used, POLISH_PASSES, fence)
     cliques = [index.cliques[t] for t in chosen]
     covered = len(used)
 

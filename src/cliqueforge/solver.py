@@ -11,8 +11,6 @@ the still-undecided subgraph (a valid lower bound on any completion).
 
 from __future__ import annotations
 
-import time
-from copy import copy
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -45,24 +43,18 @@ class BudgetExceeded(Exception):
 
 
 class SolveBudget:
-    """Node and wall-clock caps for exact searches."""
+    """Node cap for exact searches."""
 
-    __slots__ = ("max_nodes", "max_seconds", "nodes", "_deadline")
+    __slots__ = ("max_nodes", "nodes")
 
-    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
+    def __init__(self, max_nodes: int | None = None):
         self.max_nodes = max_nodes
-        self.max_seconds = max_seconds
         self.nodes = 0
-        self._deadline = (
-            time.monotonic() + max_seconds if max_seconds is not None else None
-        )
 
     def spend(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceeded(f"node budget {self.max_nodes} exceeded")
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise BudgetExceeded(f"time budget {self.max_seconds}s exceeded")
 
 
 # ===================================================================
@@ -76,32 +68,22 @@ def enumerate_cliques(g: Graph, q: int) -> list[tuple[int, ...]]:
         raise ValueError(f"q must be at least 2, got {q}")
     adj = g.adjacency()
     out: list[tuple[int, ...]] = []
-    if q == 3:
-        for u, v in sorted(g.edges):
-            au = adj[u]
-            av = adj[v]
-            if len(av) < len(au):
-                au, av = av, au
-            for w in sorted(au):
-                if w > v and w in av:
-                    out.append((u, v, w))
-        out.sort()
-        return out
 
-    def extend(prefix: list[int], cands: list[int]) -> None:
-        if len(prefix) == q:
-            out.append(tuple(prefix))
+    def extend(prefix: tuple[int, ...], cands: list[int]) -> None:
+        """The cliques that extend prefix by vertices of cands (common
+        neighbours of prefix, all above it, ascending)."""
+        if len(prefix) == q - 1:
+            out.extend([prefix + (w,) for w in cands])
             return
         need = q - len(prefix)
         for i, v in enumerate(cands):
             if len(cands) - i < need:
                 break
-            prefix.append(v)
-            extend(prefix, [w for w in cands[i + 1 :] if w in adj[v]])
-            prefix.pop()
+            av = adj[v]
+            extend(prefix + (v,), [w for w in cands[i + 1 :] if w in av])
 
     for v in range(g.n):
-        extend([v], sorted(w for w in adj[v] if w > v))
+        extend((v,), sorted(w for w in adj[v] if w > v))
     return out
 
 
@@ -112,12 +94,10 @@ class CliqueIndex:
     edge_ids its inverse.  cliques are in lexicographic order; hedges[t]
     holds the edge ids of clique t in pair order (c0c1, c0c2, ...), and
     through[e] the ids of the cliques on edge e, ascending.  Loops over
-    ids therefore visit edges and cliques in their key order.  live lists
-    the index's clique ids, ascending; a view from select shares all else
-    with its parent and narrows live and through, so ids pass unchanged.
+    ids therefore visit edges and cliques in their key order.
     """
 
-    __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "live", "through")
+    __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "through")
 
     def __init__(self, g: Graph, q: int):
         self.q = q
@@ -127,31 +107,13 @@ class CliqueIndex:
         self.hedges: tuple[tuple[int, ...], ...] = tuple(
             tuple(map(ids.__getitem__, combinations(c, 2))) for c in self.cliques
         )
-        self._narrow(range(len(self.cliques)))
-
-    def _narrow(self, live) -> None:
-        self.live = live
-        through: list[list[int]] = [[] for _ in self.edges]
-        for t in live:
-            for e in self.hedges[t]:
-                through[e].append(t)
-        self.through = through
-
-    def select(self, mask, ones: int | None = None) -> CliqueIndex:
-        """The view of the cliques whose edges all have nonzero bytes in mask
-        (one per edge id) and, given ones, exactly that many bytes of 1."""
-        get = mask.__getitem__
-        live = []
-        for t in self.live:
-            seen = bytes(map(get, self.hedges[t]))
-            if 0 not in seen and (ones is None or seen.count(1) == ones):
-                live.append(t)
-        view = copy(self)
-        view._narrow(live)
-        return view
+        self.through: list[list[int]] = [[] for _ in self.edges]
+        for t, hedge in enumerate(self.hedges):
+            for e in hedge:
+                self.through[e].append(t)
 
     def __len__(self):
-        return len(self.live)
+        return len(self.cliques)
 
 
 # ===================================================================
@@ -163,27 +125,26 @@ _DONE = object()
 
 
 class _ExactCover:
-    """Algorithm X over sets, with optional secondary columns.
+    """Algorithm X over sets.
 
-    Primary columns must be covered exactly once; secondary columns at
-    most once.  Rows are keyed by sortable hashables (clique ids).
+    Every column must be covered exactly once.  Rows are keyed by
+    sortable hashables (clique ids).
     """
 
-    def __init__(self, primary, secondary, rows):
+    def __init__(self, columns, rows):
         self.row_cols: dict = {}
-        self.cols: dict = {c: set() for c in primary}
-        for c in secondary:
-            self.cols[c] = set()
-        self.primary: set = set(primary)
+        self.cols: dict = {c: set() for c in columns}
         for key, cols in rows:
             cs = tuple(cols)
             self.row_cols[key] = cs
             for c in cs:
                 self.cols[c].add(key)
-        self.active_primary: set = set(self.primary)
+        self.active: set = set(self.cols)
         self.solution: list = []
 
     def _select(self, key):
+        """Take row key: drop every row that meets it and cover its columns
+        (all still active, since rows meeting a covered column are gone)."""
         removed_rows = set()
         covered = self.row_cols[key]
         for c in covered:
@@ -191,19 +152,18 @@ class _ExactCover:
         for r in removed_rows:
             for c in self.row_cols[r]:
                 self.cols[c].discard(r)
-        covered_primary = [c for c in covered if c in self.active_primary]
-        self.active_primary.difference_update(covered_primary)
-        return removed_rows, covered_primary
+        self.active.difference_update(covered)
+        return removed_rows, covered
 
-    def _unselect(self, removed_rows, covered_primary):
-        self.active_primary.update(covered_primary)
+    def _unselect(self, removed_rows, covered):
+        self.active.update(covered)
         for r in removed_rows:
             for c in self.row_cols[r]:
                 self.cols[c].add(r)
 
     def _branch(self) -> Iterator:
-        """Rows of the most constrained primary column, in key order."""
-        c = min(self.active_primary, key=lambda x: (len(self.cols[x]), x))
+        """Rows of the most constrained column, in key order."""
+        c = min(self.active, key=lambda x: (len(self.cols[x]), x))
         return iter(sorted(self.cols[c]))
 
     def solutions(self, budget: SolveBudget) -> Iterator[list]:
@@ -214,7 +174,7 @@ class _ExactCover:
         the solutions match the recursive formulation, without its depth
         limit (a decomposition can need thousands of cliques).
         """
-        if not self.active_primary:
+        if not self.active:
             yield list(self.solution)
             return
         branches = [self._branch()]
@@ -230,7 +190,7 @@ class _ExactCover:
             budget.spend()
             undo.append(self._select(key))
             self.solution.append(key)
-            if self.active_primary:
+            if self.active:
                 branches.append(self._branch())
             else:
                 yield list(self.solution)
@@ -261,7 +221,7 @@ def exact_decomposition(
     if g.m == 0:
         return DecompResult("found", Packing(q, []), 0)
     index = CliqueIndex(g, q)
-    cover = _ExactCover(range(g.m), (), enumerate(index.hedges))
+    cover = _ExactCover(range(g.m), enumerate(index.hedges))
     try:
         for sol in cover.solutions(budget):
             packing = Packing(q, [index.cliques[t] for t in sol])
@@ -272,13 +232,12 @@ def exact_decomposition(
 
 
 def exact_cover_solutions(
-    primary_cols: Iterable,
-    secondary_cols: Iterable,
+    columns: Iterable,
     rows: Iterable[tuple],
     budget: SolveBudget,
 ) -> Iterator[list]:
     """Generic exact cover enumeration (used by the absorber search)."""
-    yield from _ExactCover(primary_cols, secondary_cols, rows).solutions(budget)
+    yield from _ExactCover(columns, rows).solutions(budget)
 
 
 # ===================================================================

@@ -516,3 +516,42 @@ def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys):
     rc, _, stderr = run(["density", "--in", str(f)], capsys)
     assert rc == 1
     assert stderr.startswith("error:")
+
+
+def domain_error(argv, capsys, path):
+    """argv exits 1 with one error line that names path, no traceback."""
+    rc, _, stderr = run(argv, capsys)
+    assert rc == 1
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert str(path) in stderr and "Traceback" not in stderr
+    return stderr
+
+
+def test_sidecar_missing_a_certificate_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    run(["gadget", "transformer", "--q", "3", "--k", "2", "-o", str(out)], capsys)
+    sidecar = tmp_path / "t.txt.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["certificates"]["decomp_tl"]
+    sidecar.write_text(json.dumps(doc))
+    err = domain_error(["verify", "transformer", "--in", str(out)], capsys, sidecar)
+    assert "decomp_tl" in err
+
+
+def test_sidecar_holding_a_list_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "a.txt"
+    run(["gadget", "absorber", "--q", "3", "-o", str(out)], capsys)
+    sidecar = tmp_path / "a.txt.json"
+    sidecar.write_text("[]")
+    domain_error(["verify", "absorber", "--in", str(out)], capsys, sidecar)
+
+
+def test_embedding_missing_its_order_is_a_domain_error(tmp_path, capsys):
+    host_f = tmp_path / "host.txt"
+    run(["fixer", "build", "--q", "3", "-o", str(host_f)], capsys)
+    emb_f = tmp_path / "host.txt.json"
+    doc = json.loads(emb_f.read_text())
+    del doc["order"]
+    emb_f.write_text(json.dumps(doc))
+    argv = ["fixer", "apply", "--graph", str(host_f), "--emb", str(emb_f)]
+    assert "order" in domain_error(argv, capsys, emb_f)

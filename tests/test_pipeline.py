@@ -77,19 +77,27 @@ def _zone(index, a, b):
     return zone
 
 
+def _reserves(index, a, b):
+    """reserve_hypergraph on every A-edge, as {A-edge key: clique ids}."""
+    ids = sorted(index.edge_ids[e] for e in a)
+    got = reserve_hypergraph(index, _zone(index, a, b), ids)
+    assert list(got) == ids
+    return {index.edges[e]: ts for e, ts in got.items()}
+
+
 def test_reserve_hypergraph_one_target_edge_each():
     # star reserves at the apex: wedges in B closed by an A edge
     n = 6
     b = {(i, n - 1) for i in range(n - 1)}
     a = {(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)}
     pool = design_hypergraph(complete_graph(n), 3)
-    h = reserve_hypergraph(pool, _zone(pool, a, b))
-    assert h.edges == pool.edges
-    assert len(h) == math.comb(n - 1, 2)
-    for t in h.live:
-        keys = [h.edges[e] for e in h.hedges[t]]
-        assert sum(1 for e in keys if e in a) == 1
-        assert sum(1 for e in keys if e in b) == 2
+    h = _reserves(pool, a, b)
+    assert sum(map(len, h.values())) == math.comb(n - 1, 2)
+    for e, ts in h.items():
+        for t in ts:
+            keys = [pool.edges[x] for x in pool.hedges[t]]
+            assert [k for k in keys if k in a] == [e]
+            assert sum(1 for k in keys if k in b) == 2
 
 
 def test_reserve_hypergraph_drops_cliques_off_a_and_b():
@@ -99,15 +107,16 @@ def test_reserve_hypergraph_drops_cliques_off_a_and_b():
     b = {(i, n - 1) for i in range(n - 1)}
     a = {(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)} - {(0, 1)}
     pool = design_hypergraph(complete_graph(n), 3)
-    h = reserve_hypergraph(pool, _zone(pool, a, b))
-    assert len(h) == math.comb(n - 1, 2) - 1
-    assert [pool.cliques[t] for t in h.live] == [
+    h = _reserves(pool, a, b)
+    assert [pool.cliques[t] for e in sorted(a) for t in h[e]] == [
         (i, j, n - 1) for i, j in sorted(a)
     ]
-    assert h.through[pool.edge_ids[0, 1]] == []
+    e01 = pool.edge_ids[0, 1]
+    assert not any(e01 in pool.hedges[t] for ts in h.values() for t in ts)
     # with 01 back in A, the clique 015 is a reserve clique again
-    h = reserve_hypergraph(pool, _zone(pool, a | {(0, 1)}, b))
-    assert len(h) == math.comb(n - 1, 2)
+    h = _reserves(pool, a | {(0, 1)}, b)
+    assert sum(map(len, h.values())) == math.comb(n - 1, 2)
+    assert [pool.cliques[t] for t in h[0, 1]] == [(0, 1, n - 1)]
 
 
 def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
@@ -115,13 +124,10 @@ def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
     g = gnp(14, Fraction(3, 5), 2)
     b, a = slice_graph(g, Fraction(1, 3), 1, 2)
     pool = design_hypergraph(g, 3)
-    h = reserve_hypergraph(pool, _zone(pool, a.edges, b.edges))
+    h = _reserves(pool, a.edges, b.edges)
     badj = b.adjacency()
     for e in sorted(a.edges):
-        apexes = [
-            next(v for v in h.cliques[t] if v not in e)
-            for t in h.through[h.edge_ids[e]]
-        ]
+        apexes = [next(v for v in pool.cliques[t] if v not in e) for t in h[e]]
         assert apexes == sorted(badj[e[0]] & badj[e[1]])
 
 
@@ -131,17 +137,18 @@ def test_reserve_hypergraph_q4():
     a = {e for e in g.edges if e not in b}
     pool = design_hypergraph(g, 4)
     # no K_4 has exactly one edge outside the apex star, or one inside it
-    assert len(reserve_hypergraph(pool, _zone(pool, a, b))) == 0
-    assert len(reserve_hypergraph(pool, _zone(pool, b, a))) == 0
+    assert not any(_reserves(pool, a, b).values())
+    assert not any(_reserves(pool, b, a).values())
     # a perfect matching of K_6: a K_4 holds exactly one matching edge
     # unless the two vertices it misses are matched (3 of 15)
     k6 = complete_graph(6)
     pool = design_hypergraph(k6, 4)
     matching = {(0, 1), (2, 3), (4, 5)}
-    h = reserve_hypergraph(pool, _zone(pool, matching, k6.edges - matching))
-    assert len(h) == 12
-    for t in h.live:
-        assert sum(1 for e in h.hedges[t] if h.edges[e] in matching) == 1
+    h = _reserves(pool, matching, k6.edges - matching)
+    assert sum(map(len, h.values())) == 12
+    for e, ts in h.items():
+        for t in ts:
+            assert [pool.edges[x] for x in pool.hedges[t] if pool.edges[x] in matching] == [e]
 
 
 # ===================================================================
@@ -149,9 +156,15 @@ def test_reserve_hypergraph_q4():
 # ===================================================================
 
 
+def _fenced(draw, g):
+    """A random set of edges of g to fence (about a quarter of them)."""
+    marks = draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
+    return {e for e, k in zip(g.sorted_edges(), marks) if k == 3}
+
+
 def test_random_greedy_matching_is_a_maximal_matching():
     h = design_hypergraph(complete_graph(9), 3)
-    chosen, used = random_greedy_matching(h, stream(5, "greedy"))
+    chosen, used = random_greedy_matching(h, stream(5, "greedy"), ())
     seen = set()
     for idx in chosen:
         assert not seen & set(h.hedges[idx])
@@ -162,11 +175,30 @@ def test_random_greedy_matching_is_a_maximal_matching():
         assert any(e in used for e in hedge)
 
 
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_random_greedy_matching_off_a_fence_draws_as_on_the_rest(data):
+    # the pool is the unfenced cliques in id order, so the draws match
+    # those on the host minus the fence
+    g = gnp(12, Fraction(3, 5), data.draw(st.integers(0, 50)))
+    fence = _fenced(data.draw, g)
+    h = design_hypergraph(g, 3)
+    sub = design_hypergraph(Graph(g.n, g.edges - fence), 3)
+    seed = data.draw(st.integers(0, 50))
+    chosen, used = random_greedy_matching(
+        h, stream(seed, "greedy"), [h.edge_ids[e] for e in fence]
+    )
+    want, want_used = random_greedy_matching(sub, stream(seed, "greedy"), ())
+    assert [h.cliques[t] for t in chosen] == [sub.cliques[t] for t in want]
+    assert {h.edges[e] for e in used} == {sub.edges[e] for e in want_used}
+
+
 @st.composite
 def partial_packings(draw):
-    """A host of at most 14 vertices, its K_q index, a random partial
-    packing (cliques drawn in random order, each kept or skipped) and a
-    pass count."""
+    """A host of at most 14 vertices, its K_q index, a random fence, the
+    K_q index of the host minus the fence, a random partial packing off
+    the fence (cliques drawn in random order, each kept or skipped, in
+    the ids of the host's index) and a pass count."""
     q = draw(st.sampled_from([3, 4]))
     n = draw(st.integers(q, 14))
     sparse = draw(st.sampled_from([2, 3, 4]))  # edge density 1 - 1/sparse
@@ -174,27 +206,35 @@ def partial_packings(draw):
     picks = draw(st.lists(
         st.integers(0, sparse - 1), min_size=len(pairs), max_size=len(pairs)
     ))
-    h = design_hypergraph(Graph(n, [e for e, k in zip(pairs, picks) if k]), q)
-    order = draw(st.permutations(range(len(h))))
-    keep = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
+    g = Graph(n, [e for e, k in zip(pairs, picks) if k])
+    fence = _fenced(draw, g)
+    h = design_hypergraph(g, q)
+    sub = design_hypergraph(Graph(n, g.edges - fence), q)
+    order = draw(st.permutations(range(len(sub))))
+    keep = draw(st.lists(st.booleans(), min_size=len(sub), max_size=len(sub)))
     chosen: list[int] = []
     used: set[int] = set()
     for t, k in zip(order, keep):
-        if k and used.isdisjoint(h.hedges[t]):
-            chosen.append(t)
-            used.update(h.hedges[t])
-    return h, chosen, used, draw(st.integers(1, 4))
+        hedge = [h.edge_ids[e] for e in combinations(sub.cliques[t], 2)]
+        if k and used.isdisjoint(hedge):
+            chosen.append(h.cliques.index(sub.cliques[t]))
+            used.update(hedge)
+    fence_ids = [h.edge_ids[e] for e in sorted(fence)]
+    return h, fence_ids, sub, chosen, used, draw(st.integers(1, 4))
 
 
 @given(partial_packings())
 @settings(max_examples=300, deadline=None)
 def test_polish_matches_the_mutate_and_revert_reference(instance):
-    h, chosen, used, passes = instance
-    ref_chosen, ref_used = list(chosen), set(used)
-    want = reference_polish(h.hedges, h.through, ref_chosen, ref_used, passes)
-    assert _polish(h, chosen, used, passes) == want
-    assert chosen == ref_chosen
-    assert used == ref_used
+    # polish on the host's index with a fence acts as the reference on
+    # the index of the host minus the fence
+    h, fence, sub, chosen, used, passes = instance
+    ref_chosen = [sub.cliques.index(h.cliques[t]) for t in chosen]
+    ref_used = {sub.edge_ids[h.edges[e]] for e in used}
+    want = reference_polish(sub.hedges, sub.through, ref_chosen, ref_used, passes)
+    assert _polish(h, chosen, used, passes, fence) == want
+    assert [h.cliques[t] for t in chosen] == [sub.cliques[t] for t in ref_chosen]
+    assert {h.edges[e] for e in used} == {sub.edges[e] for e in ref_used}
 
 
 def test_matching_with_reserves_completes_the_star_instance():
@@ -289,8 +329,8 @@ def test_pack_gnp_report_accounting(seed):
     ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2)),
 ])
 def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
-    # the nibble, reserve and global-polish hypergraphs are views of one
-    # index, so neither entry point runs a second time
+    # the nibble, reserve completion and global polish share one index
+    # and differ only in their fences, so neither entry point runs twice
     calls = []
     for module, name in ((pipeline, "design_hypergraph"), (solver, "enumerate_cliques")):
         f = getattr(module, name)

@@ -27,7 +27,7 @@ from oracles import brute_cliques, brute_min_leave, complete_graph, cycle_graph
 # ===================================================================
 
 
-@given(graphs(8), st.integers(3, 5))
+@given(graphs(8), st.integers(2, 6))
 @settings(max_examples=120, deadline=None)
 def test_enumerate_cliques_matches_oracle(g, q):
     got = enumerate_cliques(g, q)
@@ -57,35 +57,9 @@ def test_clique_index_edge_lookup():
     for c, hedge in zip(index.cliques, index.hedges):
         pairs = [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
         assert [index.edges[e] for e in hedge] == pairs
-
-
-def test_clique_index_select_keeps_edge_ids_and_order():
-    index = CliqueIndex(complete_graph(6), 3)
-    e01 = index.edge_ids[0, 1]
-    mask = bytearray([1]) * len(index.edges)
-    mask[e01] = 0
-    view = index.select(mask)
-    assert view.edges is index.edges and view.cliques is index.cliques
-    # the view keeps its parent's clique ids and counts only its own cliques
-    assert view.live == [t for t, c in enumerate(index.cliques) if c[:2] != (0, 1)]
-    assert len(view) == 20 - 4 and len(index) == 20
-    assert view.through[e01] == []
-    for e, ts in enumerate(view.through):
-        assert ts == sorted(ts)
-        assert all(e in view.hedges[t] for t in ts)
-        assert ts == [t for t in index.through[e] if t in view.live]
-    # ones: byte 1 on the edges off vertex 0, byte 2 on its star, so the
-    # cliques with exactly one byte-1 edge are those through vertex 0
-    star = bytearray(2 if e[0] == 0 else 1 for e in index.edges)
-    through_0 = index.select(star, ones=1)
-    assert [index.cliques[t] for t in through_0.live] == [
-        c for c in index.cliques if c[0] == 0
-    ]
-    assert len(index.select(star, ones=3)) == 10
-    # a view of a view narrows within its parent's cliques
-    assert view.select(star, ones=1).live == [
-        t for t in through_0.live if t in view.live
-    ]
+    # through[e] lists every clique on e, ascending
+    for e, ts in enumerate(index.through):
+        assert ts == [t for t, hedge in enumerate(index.hedges) if e in hedge]
 
 
 # ===================================================================
@@ -208,7 +182,7 @@ def test_min_leave_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 def test_exact_cover_generic_interface():
-    # cover {0,1,2} by rows; secondary column 3 may be used at most once
+    # cover each of the columns 0..3 exactly once by rows
     rows = [
         ("a", (0, 1)),
         ("b", (2, 3)),
@@ -216,5 +190,5 @@ def test_exact_cover_generic_interface():
         ("d", (0, 3)),
         ("e", (2,)),
     ]
-    sols = list(exact_cover_solutions(range(3), [3], rows, SolveBudget(max_nodes=10_000)))
-    assert sorted(sorted(s) for s in sols) == [["a", "b"], ["a", "e"], ["c", "d"]]
+    sols = list(exact_cover_solutions(range(4), rows, SolveBudget(max_nodes=10_000)))
+    assert sorted(sorted(s) for s in sols) == [["a", "b"], ["c", "d"]]
