@@ -12,6 +12,9 @@ already there, so a parent tree and a changed tree can be compared in
 one file: the sha256 of each call's report JSON (include_ms=False) and
 sorted cliques must agree between runs whose outputs are meant to be
 identical.
+
+timed, machine, median, parse_label_and_src and save_run are shared with
+the other timing scripts in this directory.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ CASES = {160: (2000, 2001, 2002, 2003, 2004), 300: (7, 8, 9)}
 REPEATS = 3
 
 
-def _timed(module, name, log):
+def timed(module, name, log):
     """Rebind module.name to a wrapper that appends each call's ms to log."""
     f = getattr(module, name)
 
@@ -52,8 +55,8 @@ def _one_call(pipeline, n, seed):
     polish_ms: list[float] = []
     augment_ms: list[float] = []
     orig = [
-        ("_polish", _timed(pipeline, "_polish", polish_ms)),
-        ("_augment_pass", _timed(pipeline, "_augment_pass", augment_ms)),
+        ("_polish", timed(pipeline, "_polish", polish_ms)),
+        ("_augment_pass", timed(pipeline, "_augment_pass", augment_ms)),
     ]
     try:
         t = time.perf_counter()
@@ -67,8 +70,34 @@ def _one_call(pipeline, n, seed):
     return total_ms, sum(polish_ms), augment_ms, digest
 
 
-def _median(xs):
+def median(xs):
     return round(statistics.median(xs), 1)
+
+
+def machine() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
+def parse_label_and_src(doc: str) -> str:
+    """Read LABEL [--src DIR] and put DIR first on sys.path; return LABEL."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+    ap.add_argument("label", help="key to store this run under, e.g. parent or change")
+    ap.add_argument("--src", default=str(HERE.parent / "src"),
+                    help="directory holding the cliqueforge package")
+    args = ap.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    return args.label
+
+
+def save_run(out: Path, label: str, result: dict) -> None:
+    """Store result under label in out, keeping the runs already there."""
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[label] = result
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def run() -> dict:
@@ -84,27 +113,23 @@ def run() -> dict:
                 raise SystemExit(f"n={n} seed={seed}: outputs differ between repeats")
             calls.append({
                 "seed": seed,
-                "total_ms": _median([s[0] for s in samples]),
-                "polish_ms": _median([s[1] for s in samples]),
+                "total_ms": median([s[0] for s in samples]),
+                "polish_ms": median([s[1] for s in samples]),
                 "augment_pass_ms": [
-                    _median(ms) for ms in zip(*(s[2] for s in samples))
+                    median(ms) for ms in zip(*(s[2] for s in samples))
                 ],
                 "sha256": digests.pop(),
             })
         cases[str(n)] = {
-            "median_total_ms": _median([c["total_ms"] for c in calls]),
-            "median_polish_ms": _median([c["polish_ms"] for c in calls]),
+            "median_total_ms": median([c["total_ms"] for c in calls]),
+            "median_polish_ms": median([c["polish_ms"] for c in calls]),
             "sha256": hashlib.sha256(
                 "".join(c["sha256"] for c in calls).encode()
             ).hexdigest(),
             "calls": calls,
         }
     return {
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine(),
         "repeats": REPEATS,
         "workload": "pack_gnp(n, 3/10, q=3)",
         "cases": cases,
@@ -112,18 +137,11 @@ def run() -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("label", help="key to store this run under, e.g. parent or change")
-    ap.add_argument("--src", default=str(HERE.parent / "src"),
-                    help="directory holding the cliqueforge package")
-    args = ap.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    label = parse_label_and_src(__doc__)
     result = run()
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc[args.label] = result
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    save_run(OUT, label, result)
     for n, case in result["cases"].items():
-        print(f"{args.label} n={n}: total {case['median_total_ms']} ms, "
+        print(f"{label} n={n}: total {case['median_total_ms']} ms, "
               f"polish {case['median_polish_ms']} ms, sha256 {case['sha256'][:16]}")
 
 

@@ -11,13 +11,16 @@ separately.
 Boosting perturbs the uniform weighting 1/d by gadget multiples so
 that every edge load lands exactly on its target: the per-edge
 corrections do not interact because each gadget loads only its own
-edge.  Everything is Fraction arithmetic; there are no tolerances.
+edge.  The gadget sum runs on integer numerators over one common
+denominator, and each weight becomes one Fraction at the end: still
+exact, with no floats and no tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,7 +97,11 @@ class EdgeGadget:
 
 
 @lru_cache(maxsize=None)
-def _canonical_gadget(q: int, r: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _canonical_gadget(
+    q: int, r: int
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
+    """The gadget on e = (0..r-1), J = (r..r+q-1) as integer numerators
+    over one positive denominator: ((q-subset, numerator), ...), den."""
     verts = range(q + r)
     cols = list(itertools.combinations(verts, q))
     rows = list(itertools.combinations(verts, r))
@@ -109,7 +116,8 @@ def _canonical_gadget(q: int, r: int) -> tuple[tuple[tuple[int, ...], Fraction],
         raise AssertionError(
             f"internal error: gadget system (q={q}, r={r}) is singular"
         )
-    return tuple(zip(cols, x))
+    den = math.lcm(*(v.denominator for v in x))
+    return tuple((h, v.numerator * (den // v.denominator)) for h, v in zip(cols, x)), den
 
 
 def edge_gadget(q: int, r: int = 2, e=None, j=None) -> EdgeGadget:
@@ -127,9 +135,8 @@ def edge_gadget(q: int, r: int = 2, e=None, j=None) -> EdgeGadget:
     if len(e) != r or len(j) != q or set(e) & set(j):
         raise ValueError("need |e| = r and |J| = q with e, J disjoint")
     labels = e + j
-    psi = {
-        tuple(sorted(labels[i] for i in h)): v for h, v in _canonical_gadget(q, r)
-    }
+    nums, den = _canonical_gadget(q, r)
+    psi = {tuple(sorted(labels[i] for i in h)): Fraction(v, den) for h, v in nums}
     return EdgeGadget(q, r, e, j, psi)
 
 
@@ -260,6 +267,25 @@ def _as_targets(g: Graph, phi) -> dict[tuple[int, int], Fraction]:
     return {e: val for e in g.sorted_edges()}
 
 
+def _gadget_table(q: int):
+    """The gadget at every pair of a sorted (q+2)-set, by position.
+
+    Returns (den, subs, cols): subs[s] picks the s-th q-subset of the
+    set, and cols[s][p] is the numerator, over den, of that subset in
+    the gadget on the p-th pair (pairs in combinations order).
+    """
+    nums, den = _canonical_gadget(q, 2)
+    positions = range(q + 2)
+    subs = list(itertools.combinations(positions, q))
+    at = {sub: s for s, sub in enumerate(subs)}
+    cols = [[0] * math.comb(q + 2, 2) for _ in subs]
+    for p, e in enumerate(itertools.combinations(positions, 2)):
+        labels = e + tuple(v for v in positions if v not in e)
+        for h, v in nums:
+            cols[at[tuple(sorted(map(labels.__getitem__, h)))]][p] = v
+    return den, [operator.itemgetter(*sub) for sub in subs], cols
+
+
 def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     """Weighting on h_cliques with edge loads exactly phi.
 
@@ -269,18 +295,22 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     h_cliques, and every edge needs at least one member; the final
     loads are asserted equal to the targets (the corrections at
     different edges never interact).
+
+    The sum runs on integer numerators over one denominator L * den:
+    L is the lcm of the denominators of 1/d and of every c_e/d, and den
+    that of the gadget, so each weight is one exact Fraction at the end.
     """
     d = Fraction(d)
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     targets = _as_targets(g, phi)
     hset = {tuple(sorted(c)) for c in h_cliques}
-    psi: dict[tuple[int, ...], Fraction] = {h: 1 / d for h in hset}
     h_at_edge: dict[tuple[int, int], int] = {}
     for h in hset:
         for e in itertools.combinations(h, 2):
             h_at_edge[e] = h_at_edge.get(e, 0) + 1
-    q_at_edge: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    q_at_edge: dict[tuple[int, int], int] = {}
+    qsets = []
     for qc in qset_cliques:
         qc = tuple(sorted(qc))
         if len(qc) != q + 2:
@@ -291,30 +321,46 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
                     f"q-subset {sub} of {qc} is not among the chosen cliques"
                 )
         for e in itertools.combinations(qc, 2):
-            q_at_edge.setdefault(e, []).append(qc)
+            q_at_edge[e] = q_at_edge.get(e, 0) + 1
+        qsets.append(qc)
 
     c_values = []
+    scales = {}
     for e in g.sorted_edges():
         at = q_at_edge.get(e)
         if not at:
             raise ValueError(f"cannot boost: edge {e} is in no (q+2)-clique")
-        c_e = (d * targets[e] - h_at_edge.get(e, 0)) / len(at)
+        c_e = (d * targets[e] - h_at_edge.get(e, 0)) / at
         c_values.append(c_e)
-        if not c_e:
-            continue
-        scale = c_e / d
-        for qc in at:  # the canonical gadget relabeled: e first, then J
-            labels = e + tuple(v for v in qc if v not in e)
-            for h, v in _canonical_gadget(q, 2):
-                psi[tuple(sorted(map(labels.__getitem__, h)))] += scale * v
+        if c_e:
+            scales[e] = c_e / d
+    big_l = math.lcm(d.numerator, *(x.denominator for x in scales.values()))
+    k = {e: x.numerator * (big_l // x.denominator) for e, x in scales.items()}
 
-    weighting = CliqueWeighting(q, psi)
+    den, subs, cols = _gadget_table(q) if k else (1, (), ())
+    acc = dict.fromkeys(hset, big_l // d.numerator * d.denominator * den)
+    for qc in qsets:  # every occurrence, duplicates included
+        ks = [k.get(e, 0) for e in itertools.combinations(qc, 2)]
+        for sub, col in zip(subs, cols):
+            acc[sub(qc)] += sum(map(operator.mul, ks, col))
+
+    denom = big_l * den
+    weighting = CliqueWeighting(q, {h: Fraction(a, denom) for h, a in acc.items()})
+    loads: dict[tuple[int, int], int] = {}
+    for h, a in acc.items():
+        for e in itertools.combinations(h, 2):
+            loads[e] = loads.get(e, 0) + a
     for e in g.sorted_edges():
-        if weighting.edge_load(*e) != targets[e]:
+        t = targets[e]
+        if loads.get(e, 0) * t.denominator != t.numerator * denom:
             raise AssertionError(f"boost identity failed at edge {e}")
-    lo, hi = Fraction(1, 2) / d, Fraction(3, 2) / d
-    in_range = all(lo <= v <= hi for v in psi.values())
-    max_dev = max((abs(d * v - 1) for v in psi.values()), default=Fraction(0))
+    # lo <= a/denom <= hi with lo, hi = (1/2)/d, (3/2)/d, and
+    # |d a/denom - 1| = |dn a - dd denom| / (dd denom) for d = dn/dd
+    dn, dd = d.numerator, d.denominator
+    in_range = all(dd * denom <= 2 * dn * a <= 3 * dd * denom for a in acc.values())
+    max_dev = Fraction(
+        max((abs(dn * a - dd * denom) for a in acc.values()), default=0), dd * denom
+    )
     c_range = (min(c_values), max(c_values)) if c_values else (Fraction(0),) * 2
     return BoostResult(weighting, in_range, max_dev, c_range)
 

@@ -17,6 +17,7 @@ is fixer_deleted + leave >= optimal_leave_number(G).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -289,25 +290,49 @@ def matching_with_reserves(
 
     need = [e for e, z in enumerate(zone) if z == 1 and e not in used]
     reserves = reserve_hypergraph(index, zone, need)
+    hedges = index.hedges
 
-    def options(e):
-        return [
-            t for t in reserves[e]
-            if not any(x in used for x in index.hedges[t])
-        ]
+    # A reserve clique has one A-edge, so it is listed under that edge
+    # alone.  live maps each listed clique with no used edge to its
+    # A-edge, count[e] is the number of live cliques listed under e,
+    # and listed[x] holds the live cliques on edge id x.
+    live: dict[int, int] = {}
+    listed: dict[int, list[int]] = {}
+    count: dict[int, int] = {}
+    for e in need:
+        opts = [t for t in reserves[e] if not any(x in used for x in hedges[t])]
+        count[e] = len(opts)
+        for t in opts:
+            live[t] = e
+            for x in hedges[t]:
+                listed.setdefault(x, []).append(t)
 
+    # scarcest first, ties by edge id; an entry is stale once its edge
+    # is done or its count has dropped (a fresher entry is queued then)
+    heap = [(count[e], e) for e in need]
+    heapq.heapify(heap)
+    pending = set(need)
     reserve_chosen: list[int] = []
     stranded: list[int] = []
-    while need:
-        _, target = min((len(options(e)), e) for e in need)
-        need.remove(target)
-        opts = options(target)
+    while heap:
+        c, target = heapq.heappop(heap)
+        if target not in pending or c != count[target]:
+            continue
+        pending.remove(target)
+        opts = [t for t in reserves[target] if t in live]
         if not opts:
             stranded.append(target)
             continue
         t = opts[rng.randrange(len(opts))]
         reserve_chosen.append(t)
-        used.update(index.hedges[t])
+        used.update(hedges[t])
+        for x in hedges[t]:
+            for s in listed.get(x, ()):
+                owner = live.pop(s, None)
+                if owner is not None:
+                    count[owner] -= 1
+                    if owner in pending:
+                        heapq.heappush(heap, (count[owner], owner))
 
     return ReserveMatchingResult(
         not stranded, chosen, reserve_chosen, tuple(stranded), used

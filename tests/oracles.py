@@ -1,9 +1,10 @@
 """Brute-force reference implementations the tests check against.
 
 Everything here recomputes results from first principles by exhaustive
-enumeration, so it stays trivially auditable; the one exception is
+enumeration, so it stays trivially auditable; the exceptions are
 reference_polish, the plain mutate-and-revert form of the pipeline's
-local search.  Nothing is imported from the package beyond the Graph
+local search, and reference_boost, the plain Fraction form of the
+fractional boost.  Nothing is imported from the package beyond the Graph
 container itself.
 """
 
@@ -223,3 +224,54 @@ def _reference_augment(hedges, through, chosen: list, used: set) -> int:
                     owner[x] = c
     chosen[:] = sorted(chosen_set)
     return gain
+
+
+# ===================================================================
+# Fractional boost, one Fraction update per gadget entry
+# ===================================================================
+
+
+def reference_gadget(q: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The r=2 edge gadget on e = (0, 1), J = (2..q+1), in closed form.
+
+    The gadget is unique, so it is invariant under the permutations
+    fixing e and J: a q-set h gets x_k with k = |h & e|.  Unit load on
+    e, zero load on the pairs {a, j} and {j, j'} (a in e; j, j' in J):
+        C(q,2) x2 = 1
+        (q-1) x1 + C(q-1,2) x2 = 0
+        x0 + 2(q-2) x1 + C(q-2,2) x2 = 0
+    """
+    x2 = Fraction(1, math.comb(q, 2))
+    x1 = -math.comb(q - 1, 2) * x2 / (q - 1)
+    x0 = -2 * (q - 2) * x1 - math.comb(q - 2, 2) * x2
+    x = (x0, x1, x2)
+    return [(h, x[len(set(h) & {0, 1})]) for h in combinations(range(q + 2), q)]
+
+
+def reference_boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d):
+    """(weights, in_range, max_deviation, c_range) of the boost, summed
+    gadget entry by gadget entry in Fraction arithmetic."""
+    d = Fraction(d)
+    edges = g.sorted_edges()
+    targets = {e: Fraction(phi[e] if isinstance(phi, dict) else phi) for e in edges}
+    hset = {tuple(sorted(c)) for c in h_cliques}
+    psi = {h: 1 / d for h in hset}
+    h_at_edge = Counter(e for h in hset for e in combinations(h, 2))
+    q_at_edge: dict = {}
+    for qc in qset_cliques:
+        qc = tuple(sorted(qc))
+        for e in combinations(qc, 2):
+            q_at_edge.setdefault(e, []).append(qc)
+    gadget = reference_gadget(q)
+    c_values = []
+    for e in edges:
+        at = q_at_edge[e]
+        c_e = (d * targets[e] - h_at_edge[e]) / len(at)
+        c_values.append(c_e)
+        for qc in at:  # the gadget relabeled: e first, then J
+            labels = e + tuple(v for v in qc if v not in e)
+            for h, v in gadget:
+                psi[tuple(sorted(labels[i] for i in h))] += c_e / d * v
+    in_range = all(Fraction(1, 2) / d <= v <= Fraction(3, 2) / d for v in psi.values())
+    max_dev = max((abs(d * v - 1) for v in psi.values()), default=Fraction(0))
+    return psi, in_range, max_dev, (min(c_values), max(c_values))

@@ -20,10 +20,11 @@ from cliqueforge.fractional import (
     two_layer_boost,
     verify_fractional,
 )
+from cliqueforge.graphs import Graph
 from cliqueforge.randgraphs import gnp, stream
 from cliqueforge.solver import enumerate_cliques
 
-from oracles import complete_graph
+from oracles import complete_graph, reference_boost, reference_gadget
 
 
 # ===================================================================
@@ -57,6 +58,11 @@ def test_edge_gadget_families(q, r):
     gad = edge_gadget(q, r)
     gadget_loads_are_exact(gad)
     assert gad.max_abs <= 2**r * math.factorial(r) or not gad.bound_ok
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_edge_gadget_matches_the_closed_form(q):
+    assert edge_gadget(q, 2).psi == dict(reference_gadget(q))
 
 
 def test_edge_gadget_transport_to_other_labels():
@@ -175,6 +181,34 @@ def test_boost_with_nonuniform_targets():
     res = boost(g, 3, h, qs, targets, 5)
     assert all(res.weighting.edge_load(*e) == Fraction(1, 2) for e in g.sorted_edges())
     assert verify_fractional(g, res.weighting, "packing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_boost_matches_the_fraction_loop(data):
+    """Integer numerators against the plain Fraction sum, on random
+    targets and d, with the (q+2)-cliques shuffled and one repeated."""
+    q = data.draw(st.sampled_from((3, 4)), label="q")
+    n = data.draw(st.integers(q + 2, 9), label="n")
+    members = data.draw(
+        st.lists(st.sampled_from(list(itertools.combinations(range(n), q + 2))),
+                 min_size=1, max_size=5),
+        label="members",
+    )
+    g = Graph(n, {e for m in members for e in itertools.combinations(m, 2)})
+    h = enumerate_cliques(g, q)
+    qs = enumerate_cliques(g, q + 2)
+    qs.append(qs[data.draw(st.integers(0, len(qs) - 1), label="repeated")])
+    qs = data.draw(st.permutations(qs), label="order")
+    fractions = st.fractions(min_value=0, max_value=2, max_denominator=12)
+    targets = dict(zip(g.sorted_edges(), data.draw(
+        st.lists(fractions, min_size=g.m, max_size=g.m), label="targets")))
+    d = data.draw(st.fractions(min_value=Fraction(1, 3), max_value=30,
+                               max_denominator=20), label="d")
+    res = boost(g, q, h, qs, targets, d)
+    weights, in_range, max_dev, c_range = reference_boost(g, q, h, qs, targets, d)
+    assert res.weighting.weights == weights
+    assert (res.in_range, res.max_deviation, res.c_range) == (in_range, max_dev, c_range)
 
 
 def test_two_layer_boost_round():

@@ -6,23 +6,39 @@ reserves and polish, a q=4 run, the exact-cutoff path, an absorber
 table hit, a regular host), plus exact-cover and minimum-leave results.
 A second digest covers two pack_gnp(160, 3/10, 3) calls, where polish
 makes hundreds of exchanges per call, and a min-leave search that runs
-out of its node budget.  Any change to a visit order or a random draw
-shows up here, so a refactor that promises identical outputs is held
-to it.
+out of its node budget.  A third digest covers fractional weightings,
+serialized with their range diagnostics: unit-target decompositions of
+G(n, 9/10) (refusals included), a boost with non-uniform targets, a
+two-layer boost and a q=4 boost.  Any change to a visit order or a
+random draw shows up here, so a refactor that promises identical
+outputs is held to it.
 """
 
 import hashlib
 import json
 from fractions import Fraction
 
+from cliqueforge.fractional import (
+    CliqueWeighting,
+    boost,
+    fractional_kq_decomposition,
+    serialize_weighting,
+    two_layer_boost,
+)
 from cliqueforge.pipeline import PackOptions, pack_gnd, pack_gnp
 from cliqueforge.randgraphs import gnp
-from cliqueforge.solver import SolveBudget, exact_decomposition, min_leave_packing
+from cliqueforge.solver import (
+    SolveBudget,
+    enumerate_cliques,
+    exact_decomposition,
+    min_leave_packing,
+)
 
 from oracles import complete_graph
 
 PINNED = "f185a51ecc2ef1a38a380109d3b4402e8237e22deee6b03b0623f9b5d46b5043"
 PINNED_AT_SCALE = "3e822eb5902fa890c7b95e92c20454c94c38c7e4dd32c4af57d5fb5ce7355b71"
+PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b4c7ef"
 
 
 def _pack_doc(rep):
@@ -64,6 +80,38 @@ def _outputs_at_scale():
     return docs
 
 
+def _boost_doc(res):
+    return [
+        serialize_weighting(res.weighting),
+        res.in_range,
+        str(res.max_deviation),
+        [str(c) for c in res.c_range],
+    ]
+
+
+def _fractional_outputs():
+    docs = []
+    for n in (9, 11, 13, 15):
+        for s in (0, 1, 2, 9, 12):
+            try:
+                res = fractional_kq_decomposition(gnp(n, Fraction(9, 10), s), 3)
+            except ValueError as exc:
+                docs.append(["refused", n, s, str(exc)])
+            else:
+                docs.append([n, s] + _boost_doc(res))
+    g = gnp(10, Fraction(9, 10), 1)
+    h, qs = enumerate_cliques(g, 3), enumerate_cliques(g, 5)
+    targets = {(u, v): Fraction((3 * u + v) % 7 + 1, 8) for u, v in g.sorted_edges()}
+    docs.append(_boost_doc(boost(g, 3, h, qs, targets, Fraction(37, 4))))
+    g = gnp(11, Fraction(9, 10), 0)
+    h, qs = enumerate_cliques(g, 3), enumerate_cliques(g, 5)
+    first = CliqueWeighting(3, {c: Fraction(1, 20) for c in h[::3]})
+    d = Fraction(3 * len(h), g.m)
+    docs.append(_boost_doc(two_layer_boost(g, 3, first, h, qs, Fraction(1, 2), d)))
+    docs.append(_boost_doc(fractional_kq_decomposition(gnp(10, Fraction(19, 20), 2), 4)))
+    return docs
+
+
 def _digest(docs):
     return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
@@ -83,3 +131,13 @@ def test_polish_heavy_outputs_match_the_pinned_digest():
     assert [d[0] for d in docs[:2]] == ["embedded", "embedded"]
     assert docs[2][:1] == ["budget"]
     assert _digest(docs) == PINNED_AT_SCALE
+
+
+def test_fractional_outputs_match_the_pinned_digest():
+    """Weightings and diagnostics of the boost, refusals included."""
+    docs = _fractional_outputs()
+    assert [d[:3] for d in docs if d[0] == "refused"] == [
+        ["refused", 9, 12],
+        ["refused", 11, 9],
+    ]
+    assert _digest(docs) == PINNED_FRACTIONAL
