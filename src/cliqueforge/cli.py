@@ -61,7 +61,7 @@ from .graphs import (
     serialize_packing,
     verify_packing,
 )
-from .pipeline import PackOptions, bench, pack_gnd, pack_gnp
+from .pipeline import bench, pack_gnd, pack_gnp
 from .randgraphs import gnd, gnp, stream
 from .solver import verify_absorber, verify_transformer
 
@@ -79,7 +79,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str):
-    return parse_graph(_read_text(path))
+    return _parse_file(path, parse_graph)
 
 
 def _parse_file(path: str, parse):
@@ -306,12 +306,6 @@ def cmd_fixer_apply(args) -> int:
 # ===================================================================
 
 
-def _pack_options(args) -> PackOptions:
-    opts = PackOptions()
-    opts.absorb = args.absorb
-    return opts
-
-
 def _finish_pack(args, rep) -> int:
     if args.out is not None:
         Path(args.out).write_text(serialize_packing(rep.packing))
@@ -334,12 +328,12 @@ def _finish_pack(args, rep) -> int:
 
 def cmd_pack_gnp(args) -> int:
     seed = _resolve_seed(args)
-    return _finish_pack(args, pack_gnp(args.n, args.p, args.q, seed, _pack_options(args)))
+    return _finish_pack(args, pack_gnp(args.n, args.p, args.q, seed, absorb=args.absorb))
 
 
 def cmd_pack_gnd(args) -> int:
     seed = _resolve_seed(args)
-    return _finish_pack(args, pack_gnd(args.n, args.d, args.q, seed, _pack_options(args)))
+    return _finish_pack(args, pack_gnd(args.n, args.d, args.q, seed, absorb=args.absorb))
 
 
 # ===================================================================
@@ -390,7 +384,7 @@ def cmd_fractional_boost(args) -> int:
 
 def cmd_fractional_verify(args) -> int:
     g = _read_graph(args.graph)
-    w = parse_weighting(_read_text(args.weights))
+    w = _parse_file(args.weights, parse_weighting)
     problems = fractional_problems(g, w, args.mode)
     if args.json:
         _emit_json(args, {"ok": not problems, "problems": problems})
@@ -403,7 +397,7 @@ def cmd_fractional_verify(args) -> int:
 
 def cmd_fractional_sample(args) -> int:
     seed = _resolve_seed(args)
-    w = parse_weighting(_read_text(args.weights))
+    w = _parse_file(args.weights, parse_weighting)
     res = sample_regular_cliques(w, args.big_d, stream(seed, "sample"))
     if args.json:
         _emit_json(
@@ -426,7 +420,7 @@ def cmd_fractional_sample(args) -> int:
 
 def cmd_verify_packing(args) -> int:
     g = _read_graph(args.graph)
-    p = parse_packing(_read_text(args.packing))
+    p = _parse_file(args.packing, parse_packing)
     rep = verify_packing(g, p)
     bound_ok = rep.valid and leave_lower_bound_check(g, p)
     if args.json:
@@ -452,7 +446,7 @@ def cmd_verify_packing(args) -> int:
 
 def cmd_verify_decomposition(args) -> int:
     g = _read_graph(args.graph)
-    p = parse_packing(_read_text(args.packing))
+    p = _parse_file(args.packing, parse_packing)
     rep = verify_packing(g, p)
     ok = rep.valid and rep.leave.m == 0
     if args.json:

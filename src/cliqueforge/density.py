@@ -105,22 +105,23 @@ class RootedGraph:
     __slots__ = ("graph", "roots")
 
     def __init__(self, graph: Graph, roots: Iterable[int]):
-        rs = frozenset(roots)
-        for r in rs:
-            if not 0 <= r < graph.n:
-                raise ValueError(f"root {r} out of range for n={graph.n}")
-        _check_roots_independent(graph, rs)
         self.graph = graph
-        self.roots = rs
+        self.roots = _check_roots(graph, roots)
 
     def __repr__(self):
         return f"RootedGraph(n={self.graph.n}, m={self.graph.m}, roots={sorted(self.roots)})"
 
 
-def _check_roots_independent(g: Graph, roots: frozenset[int]) -> None:
+def _check_roots(g: Graph, roots: Iterable[int]) -> frozenset[int]:
+    """The roots as a set, once each is a vertex of g and no edge joins two."""
+    rs = frozenset(roots)
+    for r in sorted(rs):
+        if not 0 <= r < g.n:
+            raise ValueError(f"root {r} out of range for n={g.n}")
     for u, v in g.edges:
-        if u in roots and v in roots:
+        if u in rs and v in rs:
             raise ValueError(f"roots are not independent: edge ({u}, {v})")
+    return rs
 
 
 def evaluate_rooted_ratio(g: Graph, roots: Iterable[int], witness: Iterable[int]) -> Fraction:
@@ -278,8 +279,7 @@ def _peel_to_core(adj, alive: set[int], k: int) -> None:
 
 def max_rooted_density(g: Graph, roots: Iterable[int]) -> DensityValue:
     """m(H, R): max e(H') / |V(H') \\ R|, exact, with witness."""
-    rs = frozenset(roots)
-    _check_roots_independent(g, rs)
+    rs = _check_roots(g, roots)
     free = set(range(g.n)) - rs
     if not free:
         raise ValueError("V(H) \\ R is empty")
@@ -320,8 +320,7 @@ def rooted_degeneracy(g: Graph, roots: Iterable[int]) -> tuple[int, tuple[int, .
     which gives m_2(H, R) <= d for d >= 2 (e(H') <= d (v' - 2) whenever
     H' keeps >= 2 roots, and e(H') <= d v' - binom(d+1, 2) in general).
     """
-    rs = frozenset(roots)
-    _check_roots_independent(g, rs)
+    rs = _check_roots(g, roots)
     deg = {v: g.degree(v) for v in range(g.n) if v not in rs}
     adj = g.adjacency()
     order = []

@@ -28,14 +28,12 @@ import json
 import math
 
 from .graphs import Graph, MultiGraph, is_kq_divisible, subtract
-from .gadgets import Gadget, fake_edge
+from .gadgets import fake_edge
 
 __all__ = [
     "FixerBlueprint",
     "fat_triangle_select",
     "inductive_select",
-    "SimplifiedFixer",
-    "simplify_fixer",
     "EmbeddedFixer",
     "realize_fixer",
     "ApplyResult",
@@ -75,6 +73,15 @@ class FixerBlueprint:
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.multigraph.mult)
+
+    def gadget_keys(self) -> list[tuple[int, int, int]]:
+        """(u, v, c) for every parallel copy c >= 1 of a pair, sorted; on a
+        simple host each of these copies is a fake-edge gadget."""
+        return [
+            (u, v, c)
+            for (u, v), mult in sorted(self.multigraph.mult.items())
+            for c in range(1, mult)
+        ]
 
     def __repr__(self):
         return f"FixerBlueprint(q={self.q}, n={self.n}, m={self.m})"
@@ -154,61 +161,24 @@ def inductive_select(
     return counts
 
 
-# ===================================================================
-# Simplification: one real edge plus fake-edge gadgets per pair
-# ===================================================================
-
-
-class SimplifiedFixer:
-    """Blueprint realized on a simple host: support edges and gadgets.
-
-    registry maps (u, v, copy_index >= 1) to the canonical fake-edge
-    gadget standing in for that parallel copy.
-    """
-
-    __slots__ = ("q", "blueprint", "support", "registry")
-
-    def __init__(self, blueprint: FixerBlueprint):
-        self.q = blueprint.q
-        self.blueprint = blueprint
-        self.support = blueprint.multigraph.to_graph()
-        canonical = fake_edge(self.q)
-        self.registry: dict[tuple[int, int, int], Gadget] = {}
-        for (u, v), mult in sorted(blueprint.multigraph.mult.items()):
-            for c in range(1, mult):
-                self.registry[(u, v, c)] = canonical
-
-    @property
-    def total_edges(self) -> int:
-        return self.support.m + sum(g.graph.m for g in self.registry.values())
-
-    def __repr__(self):
-        return (
-            f"SimplifiedFixer(q={self.q}, support={self.support.m}, "
-            f"gadgets={len(self.registry)})"
-        )
-
-
-def simplify_fixer(blueprint: FixerBlueprint) -> SimplifiedFixer:
-    return SimplifiedFixer(blueprint)
-
-
 class EmbeddedFixer:
-    """A simplified fixer placed injectively inside a host graph.
+    """A blueprint placed injectively inside a simple host graph.
 
     order[i] is the host vertex playing blueprint vertex i (the path
-    order).  gadget_maps gives, per registry key, the injective map
-    from canonical gadget vertices to host vertices; roots must land on
-    the pair's host images.  All realized edges must be host edges and
-    pairwise distinct across the support and every gadget.
+    order); copy 0 of each pair is the host edge between the images.
+    gadget_maps gives, per gadget key of the blueprint, the injective
+    map from the vertices of the canonical fake-edge gadget to host
+    vertices; roots must land on the pair's host images.  All realized
+    edges must be host edges and pairwise distinct across the support
+    and every gadget.
     """
 
-    __slots__ = ("q", "blueprint", "simplified", "order", "gadget_maps")
+    __slots__ = ("q", "blueprint", "gadget", "order", "gadget_maps")
 
-    def __init__(self, simplified: SimplifiedFixer, order, gadget_maps):
-        self.q = simplified.q
-        self.blueprint = simplified.blueprint
-        self.simplified = simplified
+    def __init__(self, blueprint: FixerBlueprint, order, gadget_maps):
+        self.q = blueprint.q
+        self.blueprint = blueprint
+        self.gadget = fake_edge(blueprint.q)
         self.order = tuple(order)
         self.gadget_maps: dict[tuple[int, int, int], dict[int, int]] = dict(gadget_maps)
 
@@ -217,17 +187,16 @@ class EmbeddedFixer:
         return (a, b) if a < b else (b, a)
 
     def gadget_edges(self, key: tuple[int, int, int]) -> list[tuple[int, int]]:
-        gad = self.simplified.registry[key]
         mp = self.gadget_maps[key]
         out = []
-        for a, b in gad.graph.edges:
+        for a, b in self.gadget.graph.edges:
             x, y = mp[a], mp[b]
             out.append((x, y) if x < y else (y, x))
         return sorted(out)
 
     def realized_edges(self) -> list[tuple[int, int]]:
-        out = [self.support_edge(u, v) for u, v in self.simplified.support.edges]
-        for key in self.simplified.registry:
+        out = [self.support_edge(u, v) for u, v in self.blueprint.pairs()]
+        for key in self.blueprint.gadget_keys():
             out.extend(self.gadget_edges(key))
         return out
 
@@ -243,16 +212,15 @@ class EmbeddedFixer:
         if len(set(self.order)) != len(self.order):
             problems.append("order is not injective")
         for key, mp in self.gadget_maps.items():
-            gad = self.simplified.registry[key]
             if len(set(mp.values())) != len(mp):
                 problems.append(f"gadget {key}: map is not injective")
-            if set(mp) != set(range(gad.graph.n)):
+            if set(mp) != set(range(self.gadget.graph.n)):
                 problems.append(f"gadget {key}: map does not cover the gadget")
             u, v, _ = key
             if (mp.get(0), mp.get(1)) != (self.order[u], self.order[v]):
                 problems.append(f"gadget {key}: roots are not on the host pair")
-        if set(self.gadget_maps) != set(self.simplified.registry):
-            problems.append("gadget maps do not match the registry")
+        if set(self.gadget_maps) != set(self.blueprint.gadget_keys()):
+            problems.append("gadget maps do not match the gadget copies")
         if problems:
             return problems
         seen: set[tuple[int, int]] = set()
@@ -281,12 +249,12 @@ class EmbeddedFixer:
     @classmethod
     def from_json(cls, text: str) -> "EmbeddedFixer":
         data = json.loads(text)
-        simplified = simplify_fixer(FixerBlueprint(data["q"], data["n"]))
+        blueprint = FixerBlueprint(data["q"], data["n"])
         maps = {}
         for key, mp in data["gadgets"].items():
             u, v, c = (int(x) for x in key.split())
             maps[(u, v, c)] = {int(a): b for a, b in mp.items()}
-        return cls(simplified, data["order"], maps)
+        return cls(blueprint, data["order"], maps)
 
 
 def realize_fixer(q: int, n_core: int = 10) -> tuple[Graph, EmbeddedFixer]:
@@ -303,16 +271,15 @@ def realize_fixer(q: int, n_core: int = 10) -> tuple[Graph, EmbeddedFixer]:
     stride = q - 1
     block = (gadget.graph.n - 2) * stride
     blueprint = FixerBlueprint(q, n_core + n_gadgets * block)
-    simplified = simplify_fixer(blueprint)
     maps: dict[tuple[int, int, int], dict[int, int]] = {}
-    for i, key in enumerate(sorted(simplified.registry)):
+    for i, key in enumerate(blueprint.gadget_keys()):
         u, v, _ = key
         base = n_core + i * block
         mp = {0: u, 1: v}
         for w in range(2, gadget.graph.n):
             mp[w] = base + (w - 2) * stride
         maps[key] = mp
-    emb = EmbeddedFixer(simplified, range(blueprint.n), maps)
+    emb = EmbeddedFixer(blueprint, range(blueprint.n), maps)
     host = Graph(blueprint.n, emb.realized_edges())
     return host, emb
 

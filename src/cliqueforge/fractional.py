@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph
+from .graphs import Graph, _content_lines, _parse_ints
 
 __all__ = [
     "EdgeGadget",
@@ -200,18 +200,11 @@ def serialize_weighting(w: CliqueWeighting) -> str:
 
 
 def parse_weighting(text: str) -> CliqueWeighting:
-    lines = [
-        (i, ln.strip())
-        for i, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = list(_content_lines(text))
     if not lines:
         raise ValueError("line 1: empty weighting file, expected 'q k' header")
     lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"line {lineno}: expected 'q k' header")
-    q, k = int(parts[0]), int(parts[1])
+    q, k = _parse_ints(header, lineno, 2, "weighting header")
     if len(lines) - 1 != k:
         raise ValueError(
             f"line {lineno}: header promises {k} cliques, file has {len(lines) - 1}"
@@ -221,11 +214,11 @@ def parse_weighting(text: str) -> CliqueWeighting:
         fields = ln.split()
         if len(fields) != q + 1:
             raise ValueError(f"line {lineno}: expected {q} vertices and a weight")
+        c = tuple(_parse_ints(" ".join(fields[:q]), lineno, q, "clique"))
         try:
-            c = tuple(int(x) for x in fields[:q])
             v = Fraction(fields[q])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad clique or weight in {ln!r}")
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: bad weight in {ln!r}") from None
         if c in weights:
             raise ValueError(f"line {lineno}: clique {c} listed twice")
         weights[c] = v

@@ -759,7 +759,14 @@ class OmniAbsorber:
         return f"OmniAbsorber(q={self.q}, a_edges={self.a.m}, entries={len(self.table)})"
 
 
-def _private_absorber_search(lg: Graph, support, q, max_fresh, budget_nodes):
+# The bounded search of naive_omni_absorber: at most this many fresh
+# vertices per private absorber, and this many exact-cover nodes per
+# host size.
+OMNI_MAX_FRESH = 6
+OMNI_BUDGET_NODES = 2_000_000
+
+
+def _private_absorber_search(lg: Graph, support, q):
     """Joint search for (A_L, D1, D2) over hosts with m fresh vertices.
 
     Exact cover formulation: per L-edge one primary column (covered by
@@ -769,7 +776,7 @@ def _private_absorber_search(lg: Graph, support, q, max_fresh, budget_nodes):
     the pairs of decompositions agreeing on A_L = union(D1).
     """
     led = lg.sorted_edges()
-    for m in range(1, max_fresh + 1):
+    for m in range(1, OMNI_MAX_FRESH + 1):
         fresh_ids = tuple(range(lg.n, lg.n + m))
         n = lg.n + m
         host_pairs = [
@@ -794,7 +801,7 @@ def _private_absorber_search(lg: Graph, support, q, max_fresh, budget_nodes):
                 rows.append((("d1", t), [("D1", p) for p in hpart]))
         for f in host_pairs:
             rows.append((("skip", f), [("D1", f), ("D2", f)]))
-        budget = SolveBudget(max_nodes=budget_nodes)
+        budget = SolveBudget(max_nodes=OMNI_BUDGET_NODES)
         try:
             for sol in exact_cover_solutions(cols, rows, budget):
                 d1 = [key[1] for key in sol if key[0] == "d1"]
@@ -810,9 +817,7 @@ def _private_absorber_search(lg: Graph, support, q, max_fresh, budget_nodes):
     return None
 
 
-def naive_omni_absorber(
-    x: Graph, q: int = 3, max_fresh: int = 6, budget_nodes: int = 2_000_000
-) -> OmniAbsorber:
+def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
     """Vertex-disjoint private absorbers for every divisible L inside X.
 
     Bounded exact search over hosts K_m on the support of L plus m
@@ -832,11 +837,11 @@ def naive_omni_absorber(
         if not is_kq_divisible(lg, q):
             continue
         support = set(_support(lg))
-        found = _private_absorber_search(lg, support, q, max_fresh, budget_nodes)
+        found = _private_absorber_search(lg, support, q)
         if found is None:
             raise ValueError(
                 f"no private absorber for a divisible subgraph with "
-                f"{len(subset)} edges within {max_fresh} fresh vertices"
+                f"{len(subset)} edges within {OMNI_MAX_FRESH} fresh vertices"
             )
         privates.append((frozenset(subset), *found))
 

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer, simplify_fixer
+from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
 from .gadgets import naive_omni_absorber
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
 from .randgraphs import gnd, gnp, slice_graph, stream
@@ -35,7 +35,6 @@ __all__ = [
     "random_greedy_matching",
     "ReserveMatchingResult",
     "matching_with_reserves",
-    "PackOptions",
     "PackReport",
     "pack_gnp",
     "pack_gnd",
@@ -50,6 +49,13 @@ __all__ = [
 POLISH_PASSES = 8
 HAMILTON_TRIES = 60
 GADGET_TRIES = 40
+# Shares of the edges sliced off for the reserve and the gadget pool,
+# the largest reserve zone an omni absorber is built for, and the edge
+# count up to which a pack is solved exactly instead of staged.
+RESERVE_FRAC = Fraction(1, 24)
+GADGET_FRAC = Fraction(1, 4)
+ABSORB_CAP = 6
+EXACT_CUTOFF = 30
 
 
 # ===================================================================
@@ -460,7 +466,6 @@ def embed_fixer(
     if order is None:
         raise EmbedFailure("no spanning path power found")
     blueprint = FixerBlueprint(q, g.n)
-    simplified = simplify_fixer(blueprint)
     avail = {v: set(ws) for v, ws in gadget_pool.adjacency().items()}
 
     def take(x, y):
@@ -482,7 +487,7 @@ def embed_fixer(
         return None
 
     maps: dict[tuple[int, int, int], dict[int, int]] = {}
-    for key in sorted(simplified.registry):
+    for key in blueprint.gadget_keys():
         u, v, _ = key
         ru, rv = order[u], order[v]
         placed = None
@@ -536,7 +541,7 @@ def embed_fixer(
         if placed is None:
             raise EmbedFailure(f"gadget {key} could not be placed in the pool")
         maps[key] = placed
-    emb = EmbeddedFixer(simplified, order, maps)
+    emb = EmbeddedFixer(blueprint, order, maps)
     problems = emb.validate(g)
     if problems:
         raise EmbedFailure("embedding failed validation: " + problems[0])
@@ -705,32 +710,6 @@ def _drop_half_period(adj, deg, edges, deleted, q, rng):
 # ===================================================================
 
 
-class PackOptions:
-    """Pipeline knobs; defaults tuned for the benchmark scales."""
-
-    __slots__ = (
-        "reserve_frac",
-        "gadget_frac",
-        "absorb",
-        "absorb_cap",
-        "exact_cutoff",
-    )
-
-    def __init__(
-        self,
-        reserve_frac=Fraction(1, 24),
-        gadget_frac=Fraction(1, 4),
-        absorb: bool = False,
-        absorb_cap: int = 6,
-        exact_cutoff: int = 30,
-    ):
-        self.reserve_frac = Fraction(reserve_frac)
-        self.gadget_frac = Fraction(gadget_frac)
-        self.absorb = absorb
-        self.absorb_cap = absorb_cap
-        self.exact_cutoff = exact_cutoff
-
-
 class PackReport:
     """Result of one pipeline run; to_json follows the stable schema."""
 
@@ -861,14 +840,14 @@ def _reserve_absorber(g: Graph, x_res: Graph, main: Graph, q: int):
     return omni, mapping, frozenset(emb_edges)
 
 
-def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
+def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
     t0 = time.perf_counter()
     rng_embed = stream(seed, "embed")
     rng_nibble = stream(seed, "nibble")
     opt_bound = optimal_leave_number(g, q)
     stages = {"fixer_deleted": 0, "nibble": 0, "reserve": 0, "absorbed": 0}
 
-    if g.m <= opts.exact_cutoff:
+    if g.m <= EXACT_CUTOFF:
         res = min_leave_packing(g, q)
         stages["nibble"] = g.m - res.leave
         ms = int((time.perf_counter() - t0) * 1000)
@@ -880,7 +859,7 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
         )
 
     # (ii) fixer: embed, or repair by deletion
-    gadget_pool, _ = slice_graph(g, opts.gadget_frac, 1, seed ^ 0x67616467)
+    gadget_pool, _ = slice_graph(g, GADGET_FRAC, 1, seed ^ 0x67616467)
     emb = None
     base = g
     deleted: list = []
@@ -897,9 +876,9 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     # (iii) reserve slice from the non-fixer part; set aside an omni
     # absorber for the reserve zone when asked and the zone is tiny
     pool = Graph(g.n, base.edges - fixer_edges)
-    x_res, main = slice_graph(pool, opts.reserve_frac, 1, seed ^ 0x72657376)
+    x_res, main = slice_graph(pool, RESERVE_FRAC, 1, seed ^ 0x72657376)
     absorber = None
-    if opts.absorb and q == 3 and 0 < x_res.m <= opts.absorb_cap:
+    if absorb and q == 3 and 0 < x_res.m <= ABSORB_CAP:
         absorber = _reserve_absorber(g, x_res, main, q)
     aside = absorber[2] if absorber else frozenset()
 
@@ -966,18 +945,15 @@ def _pack(g: Graph, q: int, seed: int, opts: PackOptions, p, d) -> PackReport:
     )
 
 
-def pack_gnp(n: int, p, q: int, seed: int, opts: PackOptions | None = None) -> PackReport:
-    """Sample G(n, p) and run the staged packing pipeline on it."""
-    opts = opts or PackOptions()
-    g = gnp(n, p, seed)
-    return _pack(g, q, seed, opts, Fraction(p), None)
+def pack_gnp(n: int, p, q: int, seed: int, *, absorb: bool = False) -> PackReport:
+    """Sample G(n, p) and run the staged packing pipeline on it; absorb
+    sets an omni absorber aside for a tiny reserve zone (q = 3 only)."""
+    return _pack(gnp(n, p, seed), q, seed, Fraction(p), None, absorb)
 
 
-def pack_gnd(n: int, d: int, q: int, seed: int, opts: PackOptions | None = None) -> PackReport:
+def pack_gnd(n: int, d: int, q: int, seed: int, *, absorb: bool = False) -> PackReport:
     """Sample a d-regular graph and run the staged packing pipeline."""
-    opts = opts or PackOptions()
-    g = gnd(n, d, seed)
-    return _pack(g, q, seed, opts, None, d)
+    return _pack(gnd(n, d, seed), q, seed, None, d, absorb)
 
 
 # ===================================================================
@@ -994,9 +970,8 @@ def bench(
     threads: int = 1,
     p=None,
     d=None,
-    opts: PackOptions | None = None,
 ) -> tuple[dict, list[PackReport]]:
-    """Seed-split trials, optionally in parallel; JSON is schedule-free.
+    """Seed-split trials on a pool of threads; JSON is schedule-free.
 
     Per-trial wall times are deliberately left out of the JSON (they
     are the only schedule-dependent values); callers wanting timings
@@ -1008,14 +983,11 @@ def bench(
 
     def run(s):
         if kind == "gnp":
-            return pack_gnp(n, p, q, s, opts)
-        return pack_gnd(n, d, q, s, opts)
+            return pack_gnp(n, p, q, s)
+        return pack_gnd(n, d, q, s)
 
-    if threads <= 1:
-        reports = [run(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, seeds))
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        reports = list(pool.map(run, seeds))
 
     leaves = [r.leave for r in reports]
     ratios = [

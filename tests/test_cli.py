@@ -177,6 +177,17 @@ def test_density_json_reports_the_witness(tmp_path, capsys):
     }
 
 
+def test_density_roots_outside_the_graph_are_a_domain_error(tmp_path, capsys):
+    f = tmp_path / "c8.txt"
+    f.write_text(serialize_graph(cycle_graph(8)))
+    for roots in ("99", "-1"):
+        for extra in (["--plain"], []):
+            argv = ["density", "--in", str(f), "--roots", roots, "--json"] + extra
+            rc, stdout, stderr = run(argv, capsys)
+            assert rc == 1 and stdout == ""
+            assert stderr == f"error: root {roots} out of range for n=8\n"
+
+
 # ===================================================================
 # gadget bundles
 # ===================================================================
@@ -343,6 +354,21 @@ def test_pack_gnp_text_report_matches_the_library(tmp_path, capsys):
         f"valid: {'yes' if rep.valid else 'no'}\n"
     )
     assert out.read_text() == serialize_packing(rep.packing)
+
+
+def test_pack_absorb_flag_reaches_the_library(capsys):
+    # an instance where arming the reserve absorber changes the pack
+    argv = ["pack", "gnp", "--n", "13", "--p", "9/10", "--q", "3", "--seed", "22", "--json"]
+    docs = []
+    for extra in (["--absorb"], []):
+        _, stdout, _ = run(argv + extra, capsys)
+        doc = json.loads(stdout)
+        doc.pop("ms")
+        docs.append(doc)
+    want = pack_gnp(13, Fraction(9, 10), 3, 22, absorb=True).to_json(include_ms=False)
+    assert docs[0] == want
+    assert docs[1] == pack_gnp(13, Fraction(9, 10), 3, 22).to_json(include_ms=False)
+    assert docs[0] != docs[1]
 
 
 def test_pack_gnd_json_report_matches_the_library(capsys):
@@ -513,9 +539,7 @@ def test_unreadable_input_is_a_domain_error(capsys):
 def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("3 1\n0 3\n")
-    rc, _, stderr = run(["density", "--in", str(f)], capsys)
-    assert rc == 1
-    assert stderr.startswith("error:")
+    assert "line 2" in domain_error(["density", "--in", str(f)], capsys, f)
 
 
 def domain_error(argv, capsys, path):
@@ -525,6 +549,25 @@ def domain_error(argv, capsys, path):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert str(path) in stderr and "Traceback" not in stderr
     return stderr
+
+
+def test_malformed_packing_file_names_itself(tmp_path, capsys):
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(serialize_graph(complete_graph(4)))
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("3 1\n0 1 x\n")
+    argv = ["verify", "packing", "--graph", str(gfile), "--packing", str(pfile)]
+    assert "line 2" in domain_error(argv, capsys, pfile)
+
+
+def test_malformed_weighting_file_names_itself(tmp_path, capsys):
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(serialize_graph(complete_graph(4)))
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("3 x\n")
+    argv = ["fractional", "verify", "--graph", str(gfile), "--weights", str(wfile),
+            "--mode", "packing"]
+    assert "line 1" in domain_error(argv, capsys, wfile)
 
 
 def test_sidecar_missing_a_certificate_is_a_domain_error(tmp_path, capsys):

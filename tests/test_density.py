@@ -159,6 +159,16 @@ def test_roots_must_be_independent():
         RootedGraph(g, [5])
 
 
+@pytest.mark.parametrize("root", [8, 99, -1])
+@pytest.mark.parametrize("functional", [
+    max_rooted_density, rooted_2_density, rooted_degeneracy, RootedGraph,
+])
+def test_roots_must_be_vertices(functional, root):
+    g = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    with pytest.raises(ValueError, match=f"root {root} out of range"):
+        functional(g, [0, root])
+
+
 def test_everything_rooted_is_an_error():
     g = Graph(2, [])
     with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from cliqueforge.fixers import (
     fat_triangle_select,
     inductive_select,
     realize_fixer,
-    simplify_fixer,
 )
+from cliqueforge.gadgets import fake_edge
 from cliqueforge.graphs import Graph, is_kq_divisible, union
 from cliqueforge.randgraphs import stream
 
@@ -64,12 +64,17 @@ def test_blueprint_rejects_tiny():
 
 
 def test_simplified_registry_counts():
+    # on a simple host, copy 0 of a pair is its edge and every further
+    # copy is one fake-edge gadget; only the fat pairs have such copies
     bp = FixerBlueprint(3, 6)
-    simp = simplify_fixer(bp)
+    keys = bp.gadget_keys()
     fat_extras = math.comb(3, 2) * (3 * 2 - 1)
-    assert len(simp.registry) == fat_extras
-    assert simp.support.edges == bp.multigraph.to_graph().edges
-    assert simp.total_edges == simp.support.m + fat_extras * simp.registry[(0, 1, 1)].graph.m
+    assert len(keys) == fat_extras
+    assert keys == sorted(set(keys))
+    assert all(1 <= c < bp.copies(u, v) for u, v, c in keys)
+    host, emb = realize_fixer(3)
+    big = emb.blueprint
+    assert host.m == len(big.pairs()) + len(big.gadget_keys()) * fake_edge(3).graph.m
 
 
 # ===================================================================

@@ -18,6 +18,10 @@ import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+
+from cliqueforge import pipeline
+
 from cliqueforge.fractional import (
     CliqueWeighting,
     boost,
@@ -25,7 +29,7 @@ from cliqueforge.fractional import (
     serialize_weighting,
     two_layer_boost,
 )
-from cliqueforge.pipeline import PackOptions, pack_gnd, pack_gnp
+from cliqueforge.pipeline import pack_gnd, pack_gnp
 from cliqueforge.randgraphs import gnp
 from cliqueforge.solver import (
     SolveBudget,
@@ -51,19 +55,17 @@ def _pack_doc(rep):
 
 
 def _outputs():
-    absorb = PackOptions(
-        absorb=True,
-        exact_cutoff=0,
-        reserve_frac=Fraction(1, 12),
-        gadget_frac=Fraction(1, 4),
-    )
     docs = [
         _pack_doc(pack_gnp(60, Fraction(3, 10), 3, 2)),
         _pack_doc(pack_gnp(16, Fraction(3, 4), 4, 3)),
         _pack_doc(pack_gnp(11, Fraction(1, 2), 3, 1)),
-        _pack_doc(pack_gnp(13, Fraction(9, 10), 3, 38, absorb)),
-        _pack_doc(pack_gnd(60, 12, 3, 3)),
     ]
+    # the absorber run alone takes a reserve of 1/12, large enough to
+    # hold its leftover
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "RESERVE_FRAC", Fraction(1, 12))
+        docs.append(_pack_doc(pack_gnp(13, Fraction(9, 10), 3, 38, absorb=True)))
+    docs.append(_pack_doc(pack_gnd(60, 12, 3, 3)))
     for g, q in ((gnp(11, Fraction(1, 2), 4), 3), (gnp(10, Fraction(3, 4), 5), 4)):
         res = min_leave_packing(g, q)
         docs.append([res.status, res.leave, res.nodes, sorted(res.packing.cliques)])

@@ -22,7 +22,6 @@ from cliqueforge.graphs import (
 from cliqueforge.pipeline import (
     EmbedFailure,
     _polish,
-    PackOptions,
     bench,
     design_hypergraph,
     embed_fixer,
@@ -346,7 +345,9 @@ def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
 
 
 def test_pack_gnp_exact_cutoff_path():
-    rep = pack_gnp(8, Fraction(1, 2), 3, 5, PackOptions(exact_cutoff=100))
+    g = gnp(8, Fraction(1, 2), 5)
+    assert g.m <= pipeline.EXACT_CUTOFF
+    rep = pack_gnp(8, Fraction(1, 2), 3, 5)
     assert rep.fixer_mode == "exact"
     assert rep.leave >= rep.optimal_leave
     assert rep.valid
@@ -378,30 +379,23 @@ def test_pack_report_json_schema():
     assert json.dumps(doc, sort_keys=True)  # JSON-serializable throughout
 
 
-def test_pack_absorption_regression():
-    # organic table hit: the leftover lands inside the armed zone
-    rep = pack_gnp(
-        13,
-        Fraction(9, 10),
-        3,
-        seed=38,
-        opts=PackOptions(
-            absorb=True,
-            exact_cutoff=0,
-            reserve_frac=Fraction(1, 12),
-            gadget_frac=Fraction(1, 4),
-        ),
-    )
+def test_pack_absorption_regression(monkeypatch):
+    # organic table hit: the leftover lands inside the armed zone, which
+    # a reserve of 1/12 makes large enough to hold it
+    monkeypatch.setattr(pipeline, "RESERVE_FRAC", Fraction(1, 12))
+    assert gnp(13, Fraction(9, 10), 38).m > pipeline.EXACT_CUTOFF
+    rep = pack_gnp(13, Fraction(9, 10), 3, seed=38, absorb=True)
     assert rep.stages["absorbed"] == 3
     assert rep.leave == 0
     assert rep.valid
     check_report(rep, gnp(13, Fraction(9, 10), 38))
 
 
-def test_absorb_disarmed_without_a_zone():
-    base = dict(exact_cutoff=0, reserve_frac=Fraction(1, 12))
-    on = pack_gnp(13, Fraction(9, 10), 3, 38, PackOptions(absorb=True, absorb_cap=0, **base))
-    off = pack_gnp(13, Fraction(9, 10), 3, 38, PackOptions(absorb=False, **base))
+def test_absorb_disarmed_without_a_zone(monkeypatch):
+    monkeypatch.setattr(pipeline, "RESERVE_FRAC", Fraction(1, 12))
+    off = pack_gnp(13, Fraction(9, 10), 3, 38)
+    monkeypatch.setattr(pipeline, "ABSORB_CAP", 0)
+    on = pack_gnp(13, Fraction(9, 10), 3, 38, absorb=True)
     assert on.to_json(include_ms=False) == off.to_json(include_ms=False)
 
 
