@@ -423,17 +423,29 @@ def _fat_prefixes(body: Graph, pool: Graph, t: int, demand: int, cap: int = 40):
             (v for v in range(body.n) if len(pool_adj[v]) >= cutoff),
             key=lambda v: (-len(pool_adj[v]), v),
         )[:30]
-        out = []
-        for combo in itertools.combinations(cands, t):
-            if all(
-                y in body_adj[x] for x, y in itertools.combinations(combo, 2)
-            ):
-                out.append(combo)
-                if len(out) == cap:
-                    break
+        out = list(itertools.islice(_cliques_among(cands, body_adj, t), cap))
         if out:
             return out
     return []
+
+
+def _cliques_among(cands: list[int], adj, t: int):
+    """The t-subsets of cands that are cliques of adj, in
+    itertools.combinations order: each prefix is extended only by later
+    candidates adjacent to all of it."""
+
+    def extend(prefix: tuple[int, ...], rest: list[int]):
+        if len(prefix) == t:
+            yield prefix
+            return
+        need = t - len(prefix)
+        for i, v in enumerate(rest):
+            if len(rest) - i < need:
+                break
+            av = adj[v]
+            yield from extend(prefix + (v,), [w for w in rest[i + 1 :] if w in av])
+
+    return extend((), cands)
 
 
 def embed_fixer(
@@ -491,14 +503,16 @@ def embed_fixer(
         u, v, _ = key
         ru, rv = order[u], order[v]
         placed = None
-        for _ in range(GADGET_TRIES):
+        # a failed try gives back exactly the edges it took, so every try
+        # draws its hubs from the same pool; a pool short of q - 2 hubs
+        # gets no try
+        hub_pool = sorted(
+            (w for w in range(g.n) if w not in (ru, rv) and len(avail[w]) >= q),
+            key=lambda w: -len(avail[w]),
+        )[: 6 * q]
+        tries = GADGET_TRIES if len(hub_pool) >= q - 2 else 0
+        for _ in range(tries):
             mp = {0: ru, 1: rv}
-            hub_pool = sorted(
-                (w for w in range(g.n) if w not in (ru, rv) and len(avail[w]) >= q),
-                key=lambda w: -len(avail[w]),
-            )[: 6 * q]
-            if len(hub_pool) < q - 2:
-                break
             hubs: list[int] = []
             while len(hubs) < q - 2:
                 w = hub_pool[rng.randrange(len(hub_pool))]

@@ -121,52 +121,116 @@ class CliqueIndex:
 # ===================================================================
 
 
-_DONE = object()
-
-
 class _ExactCover:
-    """Algorithm X over sets.
+    """Algorithm X on live-row counts, as in Knuth's dancing links.
 
-    Every column must be covered exactly once.  Rows are keyed by
-    sortable hashables (clique ids).
+    Columns and rows are numbered from 0: cols[c] lists the rows through
+    column c in ascending order and rows[r] the columns of row r.  live[r]
+    marks the rows that meet no selected row, and count[c] is the number
+    of live rows through c.  An uncovered column c sits at
+    by_size[count[c]][place[c]]; place[c] is -1 once c is covered, and
+    left counts the uncovered columns.  The branching column, the one
+    with the fewest live rows and the lowest number among those, is then
+    the min of the first nonempty bucket.
     """
 
-    def __init__(self, columns, rows):
-        self.row_cols: dict = {}
-        self.cols: dict = {c: set() for c in columns}
-        for key, cols in rows:
-            cs = tuple(cols)
-            self.row_cols[key] = cs
-            for c in cs:
-                self.cols[c].add(key)
-        self.active: set = set(self.cols)
-        self.solution: list = []
+    __slots__ = (
+        "cols", "rows", "live", "count", "place", "by_size", "left", "solution"
+    )
 
-    def _select(self, key):
-        """Take row key: drop every row that meets it and cover its columns
-        (all still active, since rows meeting a covered column are gone)."""
-        removed_rows = set()
-        covered = self.row_cols[key]
+    def __init__(self, cols, rows):
+        self.cols = cols
+        self.rows = rows
+        self.live = bytearray(b"\x01") * len(rows)
+        self.count = [len(rs) for rs in cols]
+        self.by_size: list[list[int]] = [
+            [] for _ in range(max(self.count, default=0) + 1)
+        ]
+        self.place: list[int] = []
+        for c, k in enumerate(self.count):
+            bucket = self.by_size[k]
+            self.place.append(len(bucket))
+            bucket.append(c)
+        self.left = len(cols)
+        self.solution: list[int] = []
+
+    def _select(self, r: int) -> list[int]:
+        """Take row r: cover its columns and kill every live row that
+        meets it (r included); returns the killed rows."""
+        cols, rows, live, count, place, by_size = (
+            self.cols, self.rows, self.live, self.count, self.place, self.by_size
+        )
+        covered = rows[r]
         for c in covered:
-            removed_rows |= self.cols[c]
-        for r in removed_rows:
-            for c in self.row_cols[r]:
-                self.cols[c].discard(r)
-        self.active.difference_update(covered)
-        return removed_rows, covered
+            bucket = by_size[count[c]]
+            last = bucket.pop()
+            if last != c:
+                bucket[place[c]] = last
+                place[last] = place[c]
+            place[c] = -1
+        killed = []
+        for c in covered:
+            for r2 in cols[c]:
+                if not live[r2]:
+                    continue
+                live[r2] = 0
+                killed.append(r2)
+                for c2 in rows[r2]:
+                    k = count[c2]
+                    count[c2] = k - 1
+                    i = place[c2]
+                    if i < 0:
+                        continue
+                    bucket = by_size[k]
+                    last = bucket.pop()
+                    if last != c2:
+                        bucket[i] = last
+                        place[last] = i
+                    bucket = by_size[k - 1]
+                    place[c2] = len(bucket)
+                    bucket.append(c2)
+        self.left -= len(covered)
+        return killed
 
-    def _unselect(self, removed_rows, covered):
-        self.active.update(covered)
-        for r in removed_rows:
-            for c in self.row_cols[r]:
-                self.cols[c].add(r)
+    def _unselect(self, r: int, killed: list[int]) -> None:
+        """Undo _select(r), which returned killed."""
+        rows, live, count, place, by_size = (
+            self.rows, self.live, self.count, self.place, self.by_size
+        )
+        for r2 in killed:
+            live[r2] = 1
+            for c2 in rows[r2]:
+                k = count[c2]
+                count[c2] = k + 1
+                i = place[c2]
+                if i < 0:
+                    continue
+                bucket = by_size[k]
+                last = bucket.pop()
+                if last != c2:
+                    bucket[i] = last
+                    place[last] = i
+                bucket = by_size[k + 1]
+                place[c2] = len(bucket)
+                bucket.append(c2)
+        covered = rows[r]
+        for c in covered:
+            bucket = by_size[count[c]]
+            place[c] = len(bucket)
+            bucket.append(c)
+        self.left += len(covered)
 
-    def _branch(self) -> Iterator:
-        """Rows of the most constrained column, in key order."""
-        c = min(self.active, key=lambda x: (len(self.cols[x]), x))
-        return iter(sorted(self.cols[c]))
+    def _branch(self) -> Iterator[int]:
+        """Live rows of the most constrained column, ascending.
 
-    def solutions(self, budget: SolveBudget) -> Iterator[list]:
+        The walk is lazy: the search undoes every deeper selection
+        before it asks for the next row, so live is then as it was here.
+        """
+        for bucket in self.by_size:
+            if bucket:
+                return filter(self.live.__getitem__, self.cols[min(bucket)])
+
+    def solutions(self, budget: SolveBudget) -> Iterator[list[int]]:
         """Depth-first Algorithm X on an explicit stack.
 
         branches[d] walks the candidate rows at depth d; undo[d] restores
@@ -174,7 +238,7 @@ class _ExactCover:
         the solutions match the recursive formulation, without its depth
         limit (a decomposition can need thousands of cliques).
         """
-        if not self.active:
+        if not self.left:
             yield list(self.solution)
             return
         branches = [self._branch()]
@@ -183,14 +247,14 @@ class _ExactCover:
             if len(undo) == len(branches):
                 self.solution.pop()
                 self._unselect(*undo.pop())
-            key = next(branches[-1], _DONE)
-            if key is _DONE:
+            r = next(branches[-1], None)
+            if r is None:
                 branches.pop()
                 continue
             budget.spend()
-            undo.append(self._select(key))
-            self.solution.append(key)
-            if self.active:
+            undo.append((r, self._select(r)))
+            self.solution.append(r)
+            if self.left:
                 branches.append(self._branch())
             else:
                 yield list(self.solution)
@@ -221,7 +285,7 @@ def exact_decomposition(
     if g.m == 0:
         return DecompResult("found", Packing(q, []), 0)
     index = CliqueIndex(g, q)
-    cover = _ExactCover(range(g.m), enumerate(index.hedges))
+    cover = _ExactCover(index.through, index.hedges)
     try:
         for sol in cover.solutions(budget):
             packing = Packing(q, [index.cliques[t] for t in sol])
@@ -236,8 +300,35 @@ def exact_cover_solutions(
     rows: Iterable[tuple],
     budget: SolveBudget,
 ) -> Iterator[list]:
-    """Generic exact cover enumeration (used by the absorber search)."""
-    yield from _ExactCover(columns, rows).solutions(budget)
+    """Generic exact cover enumeration (used by the absorber search).
+
+    rows holds (key, columns) pairs.  Columns and keys must be sortable:
+    the search branches on the column with the fewest rows left, the
+    least such column first, and walks its rows in key order.  Each
+    solution lists its keys in the order they were taken.  A repeated
+    key or a row naming a column outside columns is a ValueError.
+    """
+    names = sorted(set(columns))
+    col_id = {c: i for i, c in enumerate(names)}
+    row_cols: dict = {}
+    for key, cs in rows:
+        if key in row_cols:
+            raise ValueError(f"duplicate row key {key!r}")
+        row_cols[key] = cs
+    keys = sorted(row_cols)
+    cols: list[list[int]] = [[] for _ in names]
+    ids: list[list[int]] = []
+    for r, key in enumerate(keys):
+        row = []
+        for c in dict.fromkeys(row_cols[key]):
+            i = col_id.get(c)
+            if i is None:
+                raise ValueError(f"row {key!r} names unknown column {c!r}")
+            row.append(i)
+            cols[i].append(r)
+        ids.append(row)
+    cover = _ExactCover(cols, ids)
+    return ([keys[r] for r in sol] for sol in cover.solutions(budget))
 
 
 # ===================================================================

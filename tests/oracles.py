@@ -3,9 +3,9 @@
 Everything here recomputes results from first principles by exhaustive
 enumeration, so it stays trivially auditable; the exceptions are
 reference_polish, the plain mutate-and-revert form of the pipeline's
-local search, and reference_boost, the plain Fraction form of the
-fractional boost.  Nothing is imported from the package beyond the Graph
-container itself.
+local search, reference_exact_cover, Algorithm X over plain sets, and
+reference_boost, the plain Fraction form of the fractional boost.
+Nothing is imported from the package beyond the Graph container itself.
 """
 
 from collections import Counter
@@ -224,6 +224,79 @@ def _reference_augment(hedges, through, chosen: list, used: set) -> int:
                     owner[x] = c
     chosen[:] = sorted(chosen_set)
     return gain
+
+
+# ===================================================================
+# Exact cover over sets
+# ===================================================================
+
+
+def reference_exact_cover(columns, rows, budget):
+    """Algorithm X with a set of live rows per column, recursively.
+
+    Branches on the column with the fewest live rows (ties to the least
+    column), tries its rows in key order and charges budget.spend() per
+    row taken, as the solver's exact cover does.  Yields each solution
+    as its keys in the order they were taken.
+    """
+    row_cols = {key: tuple(cs) for key, cs in rows}
+    cols = {c: set() for c in columns}
+    for key, cs in row_cols.items():
+        for c in cs:
+            cols[c].add(key)
+    active = set(cols)
+    solution = []
+
+    def search():
+        if not active:
+            yield list(solution)
+            return
+        c = min(active, key=lambda x: (len(cols[x]), x))
+        for key in sorted(cols[c]):
+            budget.spend()
+            covered = row_cols[key]
+            removed = set().union(*(cols[x] for x in covered))
+            for r in removed:
+                for x in row_cols[r]:
+                    cols[x].discard(r)
+            active.difference_update(covered)
+            solution.append(key)
+            yield from search()
+            solution.pop()
+            active.update(covered)
+            for r in removed:
+                for x in row_cols[r]:
+                    cols[x].add(r)
+
+    return search()
+
+
+# ===================================================================
+# Fixer anchors by testing every combination
+# ===================================================================
+
+
+def reference_fat_prefixes(body: Graph, pool: Graph, t: int, demand: int, cap=40):
+    """t-cliques of the body among its 30 vertices of highest pool
+    degree, found by testing every t-subset in combinations order; the
+    pool-degree cutoff falls from demand to demand - 2 to 0 until one
+    is found."""
+    pool_adj = pool.adjacency()
+    body_adj = body.adjacency()
+    for cutoff in (demand, demand - 2, 0):
+        cands = sorted(
+            (v for v in range(body.n) if len(pool_adj[v]) >= cutoff),
+            key=lambda v: (-len(pool_adj[v]), v),
+        )[:30]
+        out = []
+        for combo in combinations(cands, t):
+            if all(y in body_adj[x] for x, y in combinations(combo, 2)):
+                out.append(combo)
+                if len(out) == cap:
+                    break
+        if out:
+            return out
+    return []
 
 
 # ===================================================================

@@ -9,7 +9,8 @@ makes hundreds of exchanges per call, and a min-leave search that runs
 out of its node budget.  A third digest covers fractional weightings,
 serialized with their range diagnostics: unit-target decompositions of
 G(n, 9/10) (refusals included), a boost with non-uniform targets, a
-two-layer boost and a q=4 boost.  Any change to a visit order or a
+two-layer boost and a q=4 boost.  A fourth pins the exact cover of the
+anti_clique_absorber(4) host, 1,186 cliques deep.  Any change to a visit order or a
 random draw shows up here, so a refactor that promises identical
 outputs is held to it.
 """
@@ -29,6 +30,8 @@ from cliqueforge.fractional import (
     serialize_weighting,
     two_layer_boost,
 )
+from cliqueforge.gadgets import anti_clique_absorber
+from cliqueforge.graphs import union
 from cliqueforge.pipeline import pack_gnd, pack_gnp
 from cliqueforge.randgraphs import gnp
 from cliqueforge.solver import (
@@ -43,6 +46,9 @@ from oracles import complete_graph
 PINNED = "f185a51ecc2ef1a38a380109d3b4402e8237e22deee6b03b0623f9b5d46b5043"
 PINNED_AT_SCALE = "3e822eb5902fa890c7b95e92c20454c94c38c7e4dd32c4af57d5fb5ce7355b71"
 PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b4c7ef"
+# the cliques of the anti_clique_absorber(4) host's decomposition, in
+# the order the search took them
+PINNED_COVER = "b8e9da1c5d7fe15e352c8cfbd61810b05404dbc5857d0b17312c0c47e6b39459"
 
 
 def _pack_doc(rep):
@@ -143,3 +149,12 @@ def test_fractional_outputs_match_the_pinned_digest():
         ["refused", 11, 9],
     ]
     assert _digest(docs) == PINNED_FRACTIONAL
+
+
+def test_absorber_host_cover_matches_the_pinned_digest():
+    """1,186 K4s, one search node each: the column choice and the row
+    order decide every clique."""
+    b = anti_clique_absorber(4)
+    res = exact_decomposition(union(b.l, b.a), 4)
+    assert (res.status, res.nodes) == ("found", 1186)
+    assert _digest(list(res.packing.cliques)) == PINNED_COVER

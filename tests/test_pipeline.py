@@ -21,6 +21,7 @@ from cliqueforge.graphs import (
 )
 from cliqueforge.pipeline import (
     EmbedFailure,
+    _fat_prefixes,
     _polish,
     bench,
     design_hypergraph,
@@ -34,7 +35,12 @@ from cliqueforge.pipeline import (
 )
 from cliqueforge.randgraphs import gnp, slice_graph, stream
 
-from oracles import complete_graph, max_codegree, reference_polish
+from oracles import (
+    complete_graph,
+    max_codegree,
+    reference_fat_prefixes,
+    reference_polish,
+)
 
 
 # ===================================================================
@@ -301,6 +307,25 @@ def test_embed_fixer_fails_loudly_on_sparse_hosts():
     pool, _ = slice_graph(g, Fraction(1, 4), 1, 3)
     with pytest.raises(EmbedFailure):
         embed_fixer(g, 3, stream(3, "embed"), pool)
+
+
+@given(
+    st.integers(3, 40),
+    st.fractions(Fraction(1, 5), Fraction(1), max_denominator=20),
+    st.integers(0, 10_000),
+    st.integers(2, 4),
+    st.integers(0, 16),
+    st.sampled_from([1, 3, 40]),
+)
+@settings(max_examples=80, deadline=None)
+def test_fat_prefixes_match_the_combinations_oracle(n, p, seed, t, demand, cap):
+    """The body cliques the fixer may start from: the same list, in
+    itertools.combinations order, as testing every t-subset."""
+    g = gnp(n, p, seed)
+    pool, body = slice_graph(g, p / 3, p, seed)
+    assert _fat_prefixes(body, pool, t, demand, cap) == reference_fat_prefixes(
+        body, pool, t, demand, cap
+    )
 
 
 # ===================================================================

@@ -2,14 +2,22 @@
 
 import inspect
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforge.gadgets import anti_clique_absorber
-from cliqueforge.graphs import Graph, optimal_leave_number, union, verify_packing
+from cliqueforge.graphs import (
+    Graph,
+    is_kq_divisible,
+    optimal_leave_number,
+    union,
+    verify_packing,
+)
 from cliqueforge.solver import (
+    BudgetExceeded,
     CliqueIndex,
     SolveBudget,
     enumerate_cliques,
@@ -19,7 +27,13 @@ from cliqueforge.solver import (
 )
 
 from conftest import graphs
-from oracles import brute_cliques, brute_min_leave, complete_graph, cycle_graph
+from oracles import (
+    brute_cliques,
+    brute_min_leave,
+    complete_graph,
+    cycle_graph,
+    reference_exact_cover,
+)
 
 
 # ===================================================================
@@ -192,3 +206,111 @@ def test_exact_cover_generic_interface():
     ]
     sols = list(exact_cover_solutions(range(4), rows, SolveBudget(max_nodes=10_000)))
     assert sorted(sorted(s) for s in sols) == [["a", "b"], ["c", "d"]]
+
+
+def test_exact_cover_rejects_a_repeated_row_key():
+    rows = [("a", (0, 1)), ("a", (2, 3)), ("b", (2, 3))]
+    with pytest.raises(ValueError, match="duplicate row key 'a'"):
+        list(exact_cover_solutions(range(4), rows, SolveBudget(max_nodes=1000)))
+
+
+def test_exact_cover_rejects_an_unknown_column():
+    rows = [("a", (0, 1)), ("b", (2, 5))]
+    with pytest.raises(ValueError, match="row 'b' names unknown column 5"):
+        list(exact_cover_solutions(range(4), rows, SolveBudget(max_nodes=1000)))
+
+
+# ===================================================================
+# Exact cover against the set-based oracle
+# ===================================================================
+
+
+def _drain(solutions, budget):
+    """Every solution in order, how the search ended, and its node count."""
+    sols = []
+    try:
+        for sol in solutions:
+            sols.append(sol)
+    except BudgetExceeded:
+        return sols, "budget", budget.nodes
+    return sols, "done", budget.nodes
+
+
+def _first(solutions, budget):
+    """exact_decomposition's reading of a search: its first solution."""
+    try:
+        for sol in solutions:
+            return "found", sol, budget.nodes
+    except BudgetExceeded:
+        return "budget", None, budget.nodes
+    return "none", None, budget.nodes
+
+
+@st.composite
+def cover_instances(draw):
+    """Columns 0..k-1 in any order, rows under distinct keys (a row may
+    name a column twice), and a node cap, often a small one."""
+    k = draw(st.integers(0, 7))
+    columns = draw(st.permutations(range(k)))
+    cols = st.just([])
+    if k:
+        cols = st.lists(st.integers(0, k - 1), min_size=1, max_size=3)
+    rows = draw(
+        st.lists(
+            st.tuples(st.text("abcdef", min_size=1, max_size=2), cols),
+            max_size=16,
+            unique_by=lambda row: row[0],
+        )
+    )
+    return columns, rows, draw(st.none() | st.integers(0, 12))
+
+
+@given(cover_instances())
+@settings(max_examples=300, deadline=None)
+def test_exact_cover_matches_the_set_based_oracle(instance):
+    columns, rows, cap = instance
+    got = SolveBudget(cap)
+    want = SolveBudget(cap)
+    assert _drain(exact_cover_solutions(columns, rows, got), got) == _drain(
+        reference_exact_cover(columns, rows, want), want
+    )
+
+
+@st.composite
+def clique_unions(draw):
+    """Unions of a few cliques of q to q + 2 vertices, often divisible."""
+    q = draw(st.integers(3, 4))
+    n = draw(st.integers(q, 9))
+    blocks = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=q, max_size=q + 2, unique=True),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    g = Graph(n, {p for b in blocks for p in combinations(sorted(b), 2)})
+    return g, q, draw(st.none() | st.integers(0, 30))
+
+
+@given(clique_unions())
+@settings(max_examples=200, deadline=None)
+def test_decomposition_search_matches_the_set_based_oracle(instance):
+    """All exact covers of the edges by q-cliques, then the decomposition
+    itself: the same cliques in the same order for the same nodes."""
+    g, q, cap = instance
+    cliques = brute_cliques(g, q)
+    ids = {e: i for i, e in enumerate(g.sorted_edges())}
+    rows = [(t, [ids[p] for p in combinations(c, 2)]) for t, c in enumerate(cliques)]
+    got, want = SolveBudget(cap), SolveBudget(cap)
+    expected = _drain(reference_exact_cover(range(g.m), rows, want), want)
+    assert _drain(exact_cover_solutions(range(g.m), rows, got), got) == expected
+
+    res = exact_decomposition(g, q, SolveBudget(cap))
+    if not is_kq_divisible(g, q):
+        assert (res.status, res.nodes) == ("none", 0)
+        return
+    want = SolveBudget(cap)
+    status, sol, nodes = _first(reference_exact_cover(range(g.m), rows, want), want)
+    assert (res.status, res.nodes) == (status, nodes)
+    if sol is not None:
+        assert list(res.packing.cliques) == [cliques[t] for t in sol]
