@@ -6,7 +6,9 @@ Usage:
 Runs pack_gnp at n = 160 (seeds 2000-2004) and n = 300 (seeds 7-9),
 each call REPEATS = 3 times, with the package imported from DIR
 (default: this checkout's src/).  _polish and _augment_pass are timed
-by rebinding the module attributes they are called through.  The run
+by rebinding the module attributes they are called through; in trees
+with the switch walk, _augment_pass is the walk and runs once per pack,
+in older trees it is one augmenting-exchange pass of several.  The run
 is stored under LABEL in benchmarks/BENCH_polish.json, next to the runs
 already there, so a parent tree and a changed tree can be compared in
 one file: the sha256 of each call's report JSON (include_ms=False) and

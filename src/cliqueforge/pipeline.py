@@ -1,18 +1,21 @@
-"""The nibble, polish and reserve passes and the end-to-end pipeline.
+"""The nibble, reserve and polish stages and the end-to-end pipeline.
 
 The pipeline packs a sampled random graph in stages: embed a spanning
 divisibility fixer (Hamilton path power plus fake-edge gadgets placed
 in a dedicated slice), reserve an edge slice, pack the rest greedily
 through the design hypergraph, complete leftovers through reserve
-cliques (scarcest first), apply the fixer, then polish the whole
-packing with augmenting exchanges and optionally absorb a tiny
-leftover.  Stage failures always degrade to a larger leave, never to
-an invalid packing.
+cliques (scarcest first), apply the fixer, then polish on all of G:
+fill the packing to maximality and run Stinson's switch walk on the
+leave for WALK_STEPS * e(G) steps, which may cover fixer-deleted edges
+again.  A tiny leftover is optionally absorbed.  Stage failures always
+degrade to a larger leave, never to an invalid packing.
 
 Accounting: stages fixer_deleted / nibble / reserve / absorbed plus
-the reported leave partition e(G) exactly.  The classical lower bound
-applies to all uncovered edges, deleted or not, so the validity check
-is fixer_deleted + leave >= optimal_leave_number(G).
+the reported leave partition e(G) exactly.  fixer_deleted counts the
+fixer-deleted edges the polish left uncovered, and the polish's net
+coverage falls into nibble.  The classical lower bound applies to all
+uncovered edges, deleted or not, so the validity check is
+fixer_deleted + leave >= optimal_leave_number(G).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
-from .gadgets import naive_omni_absorber
+from .gadgets import fake_edge, naive_omni_absorber
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
 from .randgraphs import gnd, gnp, slice_graph, stream
 from .solver import CliqueIndex, min_leave_packing
@@ -44,9 +47,9 @@ __all__ = [
     "fix_by_deletion",
 ]
 
-# Augment-and-fill passes per polish run, spanning-path attempts and
+# Switch-walk steps per edge of G, spanning-path attempts and
 # placement attempts per fake-edge gadget when embedding the fixer.
-POLISH_PASSES = 8
+WALK_STEPS = 5
 HAMILTON_TRIES = 60
 GADGET_TRIES = 40
 # Shares of the edges sliced off for the reserve and the gadget pool,
@@ -105,7 +108,7 @@ def random_greedy_matching(index: CliqueIndex, rng, fence):
         pool[i] = pool[-1]
         pool.pop()
         hedge = index.hedges[idx]
-        if any(e in used for e in hedge):
+        if not used.isdisjoint(hedge):
             continue
         chosen.append(idx)
         used.update(hedge)
@@ -113,146 +116,155 @@ def random_greedy_matching(index: CliqueIndex, rng, fence):
 
 
 # ===================================================================
-# Local search: fill plus bounded augmenting exchanges
+# Local search: greedy fill, then a switch walk on the leave
 # ===================================================================
 
-
-def _mark(h: CliqueIndex, edges, blocked: list[int], delta: int) -> None:
-    """Add delta to blocked[t] of every hyperedge t through each edge."""
-    through = h.through
-    for x in edges:
-        for t in through[x]:
-            blocked[t] += delta
+# owner[e] for an edge id e in no chosen clique: a leave edge, or one
+# the stage may not use
+LEAVE = -1
+FENCED = -2
 
 
-def _fill_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[int]) -> int:
-    """Take every hyperedge with no used or fenced edge, in id order."""
-    gain = 0
-    for i, b in enumerate(blocked):
-        if not b:
-            hedge = h.hedges[i]
-            chosen.append(i)
-            used.update(hedge)
-            _mark(h, hedge, blocked, 1)
-            gain += len(hedge)
-    return gain
+def _fill_pass(h: CliqueIndex, owner: list[int]) -> int:
+    """Take every clique whose edges are all leave, in id order, so the
+    packing is maximal; returns the number of edges gained.
 
-
-def _refills(h: CliqueIndex, own: set, blockers: list[int], used: set,
-             blocked: list[int], share: int) -> list[int]:
-    """The refills of the move that takes the hyperedge with edge set own
-    and drops blockers, found without writing anything.
-
-    For each freed edge (the blockers' edges outside own, in blocker
-    order) not yet refilled, the first hyperedge through it that fits
-    is taken; _augment_pass states the fit test and the blocked skip.
+    Cliques are in lexicographic order, so grouping them by their first
+    (least) edge id and visiting the leave edges in id order visits
+    every candidate in id order.
     """
     hedges, through = h.hedges, h.through
-    freed = [x for c in blockers for x in hedges[c] if x not in own]
-    free = set(freed)
-    limit = len(blockers) * share
-    taken: set[int] = set()
-    fills: list[int] = []
-    for fe in freed:
-        if fe in taken:
-            continue
-        for t2 in through[fe]:
-            if blocked[t2] > limit:
-                continue
-            h2 = hedges[t2]
-            for x in h2:
-                if x in own or x in taken or (x in used and x not in free):
-                    break
-            else:
-                fills.append(t2)
-                taken.update(h2)
-                break
-    return fills
-
-
-def _augment_pass(h: CliqueIndex, chosen: list[int], used: set, blocked: list[int]) -> int:
-    """Swap out 1 or 2 blockers for a new hyperedge plus refills.
-
-    For each edge uncovered when the pass starts, try every hyperedge t
-    through it whose used edges belong to one or two chosen hyperedges
-    (the blockers); refill greedily through the freed edges, and take
-    the move only if it covers strictly more (at least as many refills
-    as blockers).  Coverage strictly grows on every accepted move, so
-    passes make progress until a fixpoint.
-
-    blocked[t] is the number of used edges of hyperedge t; it changes
-    only where an edge changes state, on accepted moves and fills.
-    Tentative moves read used, owner and blocked without writing them:
-    a refill fits iff every edge of it is unused or freed, is not in t,
-    and is not in an earlier refill.  Two distinct K_q share at most
-    C(q-1, 2) edges, so t needs blocked[t] <= 2 C(q-1, 2), and a refill
-    t2 against k blockers needs blocked[t2] <= k C(q-1, 2).
-    """
-    hedges = h.hedges
-    owner: dict[int, int] = {}
-    for i in chosen:
-        for e in hedges[i]:
-            owner[e] = i
-    chosen_set = set(chosen)
     gain = 0
-    share = (h.q - 1) * (h.q - 2) // 2
-    for e in [e for e in range(len(h.edges)) if e not in used]:
-        if e in used:
+    for e, o in enumerate(owner):
+        if o != LEAVE:
             continue
-        for t in h.through[e]:
-            if not 0 < blocked[t] <= 2 * share:
-                continue
+        for t in through[e]:
             hedge = hedges[t]
-            blockers = sorted({owner[x] for x in hedge if x in used})
-            if len(blockers) > 2:
-                continue
-            own = set(hedge)
-            fills = _refills(h, own, blockers, used, blocked, share)
-            if len(fills) < len(blockers):
-                continue
-            before = {x for c in blockers for x in hedges[c]}
-            after = own.union(*(hedges[t2] for t2 in fills))
-            chosen_set.difference_update(blockers)
-            chosen_set.add(t)
-            chosen_set.update(fills)
-            for t2 in (t, *fills):
-                for x in hedges[t2]:
-                    owner[x] = t2
-            dropped, added = before - after, after - before
-            for x in dropped:
-                del owner[x]
-            used.difference_update(dropped)
-            used.update(added)
-            _mark(h, dropped, blocked, -1)
-            _mark(h, added, blocked, 1)
-            gain += len(after) - len(before)
-            break
-    chosen[:] = sorted(chosen_set)
+            if hedge[0] == e and all(owner[x] == LEAVE for x in hedge):
+                for x in hedge:
+                    owner[x] = t
+                gain += len(hedge)
     return gain
 
 
-def _polish(h: CliqueIndex, chosen: list[int], used: set, passes: int, fence) -> int:
-    """Augment, then fill, until a pass gains nothing or passes run out.
+def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
+    """Stinson's switch walk on the leave for the given number of steps.
 
-    Mutates chosen and used; returns the number of edges gained.  Both
-    passes share blocked[t], the number of used edges of hyperedge t.
-    Polish may not use the edge ids in fence: each adds 2 C(q-1, 2) + 1
-    to blocked[t] of the hyperedges on it, above every bound of a take,
-    try or refill (see _augment_pass), and moves never unmark it.
+    A step draws a vertex v of leave degree at least 2 and an ordered
+    pair of its leave edges vu, vw.  It stalls if uw is not an edge;
+    otherwise it draws a clique t uniformly from those on u, v and w
+    (for q = 3, the triangle uvw).  If every other edge of t is leave,
+    or lies in one chosen clique b and is not fenced, t is taken and b
+    dropped.  That gains binom(q, 2) edges or none, so coverage never
+    falls while the leave keeps moving.  Mutates owner; returns the
+    number of edges gained.
+
+    nbrs[v] lists the leave edge ids at v; slot[2e] and slot[2e + 1]
+    are the places of e in the lists of its lower and upper end.  hot
+    lists the vertices of leave degree >= 2, spot[v] the place of v in
+    it; both lists change by append and swap-remove.
     """
-    blocked = [0] * len(h.hedges)
-    _mark(h, used, blocked, 1)
-    _mark(h, fence, blocked, (h.q - 1) * (h.q - 2) + 1)
-    total = 0
-    for _ in range(passes):
-        gain = (
-            _augment_pass(h, chosen, used, blocked)
-            + _fill_pass(h, chosen, used, blocked)
-        )
-        total += gain
-        if not gain:
+    edges, hedges, through, ids = h.edges, h.hedges, h.through, h.edge_ids
+    n = 1 + max((b for _, b in edges), default=-1)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    slot = [0] * (2 * len(edges))
+    hot: list[int] = []
+    spot = [0] * n
+
+    def put(v, s, e):
+        """Append the leave edge e to nbrs[v], its place going to slot[s]."""
+        at = nbrs[v]
+        slot[s] = len(at)
+        at.append(e)
+        if len(at) == 2:
+            spot[v] = len(hot)
+            hot.append(v)
+
+    def cut(v, i):
+        """Swap-remove the leave edge at place i of nbrs[v]."""
+        at = nbrs[v]
+        last = at.pop()
+        if i < len(at):
+            at[i] = last
+            slot[2 * last + (edges[last][1] == v)] = i
+        if len(at) == 1:
+            last = hot.pop()
+            if last != v:
+                hot[spot[v]] = last
+                spot[last] = spot[v]
+
+    for e, o in enumerate(owner):
+        if o == LEAVE:
+            a, b = edges[e]
+            put(a, 2 * e, e)
+            put(b, 2 * e + 1, e)
+    rand, choice = rng.randrange, rng.choice
+    gain = 0
+    for _ in range(steps):
+        if not hot:
             break
-    return total
+        v = choice(hot)
+        at = nbrs[v]
+        k = len(at)
+        i, j = divmod(rand(k * (k - 1)), k - 1)
+        if j >= i:
+            j += 1
+        e1, e2 = at[i], at[j]
+        a, b = edges[e1]
+        u = a + b - v
+        a, b = edges[e2]
+        w = a + b - v
+        if ((u, w) if u < w else (w, u)) not in ids:
+            continue
+        ts = [t for t in through[e1] if e2 in hedges[t]]
+        if not ts:
+            continue
+        t = ts[0] if len(ts) == 1 else ts[rand(len(ts))]
+        hedge = hedges[t]
+        drop = LEAVE
+        for x in hedge:
+            o = owner[x]
+            if o == LEAVE:
+                continue
+            if o == FENCED or drop != LEAVE and drop != o:
+                break
+            drop = o
+        else:
+            for x in hedge:
+                if owner[x] == LEAVE:
+                    a, b = edges[x]
+                    cut(a, slot[2 * x])
+                    cut(b, slot[2 * x + 1])
+                owner[x] = t
+            if drop == LEAVE:
+                gain += len(hedge)
+            else:
+                for x in hedges[drop]:
+                    if owner[x] == drop:
+                        owner[x] = LEAVE
+                        a, b = edges[x]
+                        put(a, 2 * x, x)
+                        put(b, 2 * x + 1, x)
+    return gain
+
+
+def _polish(h: CliqueIndex, chosen: list[int], used: set, fence, rng, steps: int) -> int:
+    """Fill the packing to maximality, then walk the leave for steps.
+
+    The edge ids in fence are never used.  Mutates chosen (left in id
+    order) and used; returns the number of edges gained.
+    """
+    owner = [LEAVE] * len(h.edges)
+    for e in fence:
+        owner[e] = FENCED
+    for t in chosen:
+        for x in h.hedges[t]:
+            owner[x] = t
+    gain = _fill_pass(h, owner) + _augment_pass(h, owner, rng, steps)
+    chosen[:] = sorted({o for o in owner if o >= 0})
+    used.clear()
+    used.update(e for e, o in enumerate(owner) if o >= 0)
+    return gain
 
 
 # ===================================================================
@@ -277,22 +289,19 @@ class ReserveMatchingResult:
         return f"ReserveMatchingResult(ok={self.ok}, stranded={len(self.stranded)})"
 
 
-def matching_with_reserves(
-    index: CliqueIndex, zone, rng, passes: int = 0
-) -> ReserveMatchingResult:
+def matching_with_reserves(index: CliqueIndex, zone, rng) -> ReserveMatchingResult:
     """Nibble on the cliques inside A, then complete uncovered A-edges.
 
-    zone marks A and B as reserve_hypergraph reads it; the nibble and
-    its polish fence every edge outside A, and completion draws from the
-    reserve cliques of each uncovered A-edge.  Completion is
-    scarcest-first: the A-edge with the fewest remaining reserve cliques
-    goes first (ties by edge id), each choice uniform among its valid
-    cliques.  Failure lists the stranded A-edges; the chosen cliques
+    zone marks A and B as reserve_hypergraph reads it; the nibble is a
+    random greedy matching that fences every edge outside A, and
+    completion draws from the reserve cliques of each uncovered A-edge.
+    Completion is scarcest-first: the A-edge with the fewest remaining
+    reserve cliques goes first (ties by edge id), each choice uniform
+    among its valid cliques.  Failure lists the stranded A-edges; the chosen cliques
     always form a valid partial packing.
     """
     fence = [e for e, z in enumerate(zone) if z != 1]
     chosen, used = random_greedy_matching(index, rng, fence)
-    _polish(index, chosen, used, passes, fence)
 
     need = [e for e, z in enumerate(zone) if z == 1 and e not in used]
     reserves = reserve_hypergraph(index, zone, need)
@@ -456,9 +465,18 @@ def embed_fixer(
 ) -> EmbeddedFixer:
     """Place a spanning fixer: path power outside the pool, gadgets in it.
 
-    Raises EmbedFailure when no spanning path power shows up or some
+    Raises EmbedFailure when the pool has fewer edges than the gadgets
+    take (each takes fake_edge(q).graph.m pool edges, disjoint from the
+    others'), when no spanning path power shows up, or when some
     fake-edge gadget cannot be placed edge-disjointly in the pool.
     """
+    blueprint = FixerBlueprint(q, g.n)
+    keys = blueprint.gadget_keys()
+    need = len(keys) * fake_edge(q).graph.m
+    if gadget_pool.m < need:
+        raise EmbedFailure(
+            f"gadget pool has {gadget_pool.m} edges, {len(keys)} gadgets need {need}"
+        )
     body = Graph(g.n, g.edges - gadget_pool.edges)
     t = max(3, q - 2)
     demand = (t - 1) * (q * (q - 1) - 1) + 2
@@ -477,7 +495,6 @@ def embed_fixer(
         )
     if order is None:
         raise EmbedFailure("no spanning path power found")
-    blueprint = FixerBlueprint(q, g.n)
     avail = {v: set(ws) for v, ws in gadget_pool.adjacency().items()}
 
     def take(x, y):
@@ -499,7 +516,7 @@ def embed_fixer(
         return None
 
     maps: dict[tuple[int, int, int], dict[int, int]] = {}
-    for key in blueprint.gadget_keys():
+    for key in keys:
         u, v, _ = key
         ru, rv = order[u], order[v]
         placed = None
@@ -885,7 +902,6 @@ def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
         base, deleted = fix_by_deletion(g, q, rng_embed)
         fixer_edges = frozenset()
         fixer_mode = "deletion"
-        stages["fixer_deleted"] = len(deleted)
 
     # (iii) reserve slice from the non-fixer part; set aside an omni
     # absorber for the reserve zone when asked and the zone is tiny
@@ -906,23 +922,29 @@ def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
         zone[ids[e]] = 1
     for e in x_res.edges:
         zone[ids[e]] = 2
-    match = matching_with_reserves(index, zone, rng_nibble, POLISH_PASSES)
+    match = matching_with_reserves(index, zone, rng_nibble)
     chosen, used = match.nibble_cliques + match.reserve_cliques, match.used
 
-    # (vi) apply the fixer, then polish globally over the remainder;
-    # with a live absorber the zone's unused edges are off limits (they
-    # are spent by the table, or stay in the leave on a miss)
+    # (vi) apply the fixer, then polish on all of G, fixer-deleted edges
+    # included.  A live absorber keeps for its table the zone's unused
+    # edges that some table entry holds (they are spent by the table, or
+    # stay in the leave on a miss), and the deleted edges stay out, since
+    # the table takes only the divisible leftovers the deletions leave.
+    # Only the deleted edges the polish left uncovered count as deleted.
     if emb is not None:
-        res = apply_fixer(g, emb)
-        deleted = list(res.deleted)
-        stages["fixer_deleted"] = len(deleted)
-        base = res.graph
+        deleted = list(apply_fixer(g, emb).deleted)
     armed = absorber is not None and len(absorber[0].table) > 1
     exclude = set(aside)
     if armed:
-        exclude.update(e for e in x_res.edges if ids[e] not in used)
-    fence = [ids[e] for e in exclude.union(deleted)]
-    _polish(index, chosen, used, POLISH_PASSES, fence)
+        exclude.update(e for key in absorber[0].table for e in key if ids[e] not in used)
+        exclude.update(deleted)
+    _polish(
+        index, chosen, used, [ids[e] for e in exclude], stream(seed, "walk"),
+        WALK_STEPS * g.m,
+    )
+    deleted = [e for e in deleted if ids[e] not in used]
+    stages["fixer_deleted"] = len(deleted)
+    base = Graph(g.n, g.edges - set(deleted)) if deleted else g
     cliques = [index.cliques[t] for t in chosen]
     covered = len(used)
 

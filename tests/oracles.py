@@ -2,8 +2,7 @@
 
 Everything here recomputes results from first principles by exhaustive
 enumeration, so it stays trivially auditable; the exceptions are
-reference_polish, the plain mutate-and-revert form of the pipeline's
-local search, reference_exact_cover, Algorithm X over plain sets, and
+reference_exact_cover, Algorithm X over plain sets, and
 reference_boost, the plain Fraction form of the fractional boost.
 Nothing is imported from the package beyond the Graph container itself.
 """
@@ -132,98 +131,6 @@ def brute_min_leave(g: Graph, q: int) -> int:
 
     rec(0, set(), 0)
     return best[0]
-
-
-# ===================================================================
-# Local search by mutate-and-revert
-# ===================================================================
-
-
-def reference_polish(hedges, through, chosen: list, used: set, passes: int) -> int:
-    """Augmenting exchanges plus fill, each tentative move applied to
-    used/owner/chosen and undone on rejection.
-
-    hedges[t] holds the edge ids of hyperedge t and through[e] the
-    hyperedges on edge e, ascending.  Mutates chosen and used like
-    pipeline._polish and returns the number of edges gained.
-    """
-    total = 0
-    for _ in range(passes):
-        gain = _reference_augment(hedges, through, chosen, used)
-        gain += _reference_fill(hedges, chosen, used)
-        total += gain
-        if not gain:
-            break
-    return total
-
-
-def _reference_fill(hedges, chosen: list, used: set) -> int:
-    gain = 0
-    for i, hedge in enumerate(hedges):
-        if all(e not in used for e in hedge):
-            chosen.append(i)
-            used.update(hedge)
-            gain += len(hedge)
-    return gain
-
-
-def _reference_augment(hedges, through, chosen: list, used: set) -> int:
-    owner = {}
-    for i in chosen:
-        for e in hedges[i]:
-            owner[e] = i
-    chosen_set = set(chosen)
-    gain = 0
-    per = len(hedges[0]) if hedges else 0
-    for e in [e for e in range(len(through)) if e not in used]:
-        if e in used:
-            continue
-        for t in through[e]:
-            hedge = hedges[t]
-            blockers = sorted({owner[x] for x in hedge if x in used})
-            if not 1 <= len(blockers) <= 2:
-                continue
-            freed = [x for c in blockers for x in hedges[c] if x not in hedge]
-            for c in blockers:
-                chosen_set.discard(c)
-                for x in hedges[c]:
-                    used.discard(x)
-                    owner.pop(x, None)
-            chosen_set.add(t)
-            used.update(hedge)
-            for x in hedge:
-                owner[x] = t
-            fills = []
-            for fe in freed:
-                if fe in used:
-                    continue
-                for t2 in through[fe]:
-                    h2 = hedges[t2]
-                    if all(x not in used for x in h2):
-                        fills.append(t2)
-                        used.update(h2)
-                        for x in h2:
-                            owner[x] = t2
-                        break
-            if len(fills) >= len(blockers):
-                chosen_set.update(fills)
-                gain += per * (1 + len(fills) - len(blockers))
-                break
-            for t2 in fills:
-                for x in hedges[t2]:
-                    used.discard(x)
-                    owner.pop(x, None)
-            chosen_set.discard(t)
-            for x in hedge:
-                used.discard(x)
-                owner.pop(x, None)
-            for c in blockers:
-                chosen_set.add(c)
-                for x in hedges[c]:
-                    used.add(x)
-                    owner[x] = c
-    chosen[:] = sorted(chosen_set)
-    return gain
 
 
 # ===================================================================

@@ -326,3 +326,20 @@ def test_10_bench_json_is_identical_at_1_2_and_8_threads():
         doc, _ = bench("gnp", 26, 3, 10, 42, threads=threads, p=Fraction(2, 5), d=None)
         blobs.append(json.dumps(doc, indent=2, sort_keys=True).encode())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+# -------------------------------------------------------------------
+# 11. the packing misses at most n edges of G(n, p)
+# -------------------------------------------------------------------
+
+
+def test_11_pack_misses_at_most_n_edges_on_average():
+    """The paper's leave is (q-2)n + O(1); counted here is every edge of
+    G the packing misses, fixer deletions included."""
+    with budget(120.0):
+        missed = []
+        for seed in range(10):
+            rep = pack_gnp(300, Fraction(3, 10), 3, seed)
+            assert rep.valid
+            missed.append(rep.stages["fixer_deleted"] + rep.leave)
+        assert sum(missed) / len(missed) <= 300

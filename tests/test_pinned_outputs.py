@@ -2,11 +2,11 @@
 
 The digest covers the schedule-free report JSON, the sorted cliques and
 the sorted deleted edges of a few fixed pipeline runs (the nibble with
-reserves and polish, a q=4 run, the exact-cutoff path, an absorber
-table hit, a regular host), plus exact-cover and minimum-leave results.
-A second digest covers two pack_gnp(160, 3/10, 3) calls, where polish
-makes hundreds of exchanges per call, and a min-leave search that runs
-out of its node budget.  A third digest covers fractional weightings,
+reserves and the polish walk, a q=4 run, the exact-cutoff path, an
+absorber table hit, a regular host), plus exact-cover and minimum-leave
+results.  A second digest covers two pack_gnp(160, 3/10, 3) calls, where
+the polish walk makes thousands of switches per call, and a min-leave
+search that runs out of its node budget.  A third digest covers fractional weightings,
 serialized with their range diagnostics: unit-target decompositions of
 G(n, 9/10) (refusals included), a boost with non-uniform targets, a
 two-layer boost and a q=4 boost.  A fourth pins the exact cover of the
@@ -43,8 +43,8 @@ from cliqueforge.solver import (
 
 from oracles import complete_graph
 
-PINNED = "f185a51ecc2ef1a38a380109d3b4402e8237e22deee6b03b0623f9b5d46b5043"
-PINNED_AT_SCALE = "3e822eb5902fa890c7b95e92c20454c94c38c7e4dd32c4af57d5fb5ce7355b71"
+PINNED = "b0dcd53c39795a6a11d81c4308a8738f3efb8a8c8dd076255df81dde00f517eb"
+PINNED_AT_SCALE = "56dd2faeb02f0ff3c81b0a167df22507a1b939c6aa280bf7f5858d57c1c38c1d"
 PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b4c7ef"
 # the cliques of the anti_clique_absorber(4) host's decomposition, in
 # the order the search took them
@@ -133,8 +133,8 @@ def test_outputs_match_the_pinned_digest():
 
 
 def test_polish_heavy_outputs_match_the_pinned_digest():
-    """n=160 packs, where polish makes hundreds of exchanges, and a
-    min-leave search that runs into its node budget."""
+    """n=160 packs, where the polish walk makes thousands of switches,
+    and a min-leave search that runs into its node budget."""
     docs = _outputs_at_scale()
     assert [d[0] for d in docs[:2]] == ["embedded", "embedded"]
     assert docs[2][:1] == ["budget"]

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforge import pipeline, solver
-from cliqueforge.fixers import apply_fixer
+from cliqueforge.fixers import FixerBlueprint, apply_fixer
+from cliqueforge.gadgets import fake_edge
 from cliqueforge.graphs import (
     Graph,
     Packing,
@@ -39,7 +40,6 @@ from oracles import (
     complete_graph,
     max_codegree,
     reference_fat_prefixes,
-    reference_polish,
 )
 
 
@@ -200,10 +200,9 @@ def test_random_greedy_matching_off_a_fence_draws_as_on_the_rest(data):
 
 @st.composite
 def partial_packings(draw):
-    """A host of at most 14 vertices, its K_q index, a random fence, the
-    K_q index of the host minus the fence, a random partial packing off
-    the fence (cliques drawn in random order, each kept or skipped, in
-    the ids of the host's index) and a pass count."""
+    """A host of at most 14 vertices, its K_q index, a random fence (as
+    edge ids) and a random partial packing off the fence (cliques drawn
+    in random order, each kept or skipped)."""
     q = draw(st.sampled_from([3, 4]))
     n = draw(st.integers(q, 14))
     sparse = draw(st.sampled_from([2, 3, 4]))  # edge density 1 - 1/sparse
@@ -212,34 +211,46 @@ def partial_packings(draw):
         st.integers(0, sparse - 1), min_size=len(pairs), max_size=len(pairs)
     ))
     g = Graph(n, [e for e, k in zip(pairs, picks) if k])
-    fence = _fenced(draw, g)
     h = design_hypergraph(g, q)
-    sub = design_hypergraph(Graph(n, g.edges - fence), q)
-    order = draw(st.permutations(range(len(sub))))
-    keep = draw(st.lists(st.booleans(), min_size=len(sub), max_size=len(sub)))
+    fence = sorted(h.edge_ids[e] for e in _fenced(draw, g))
+    order = draw(st.permutations(range(len(h))))
+    keep = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
     chosen: list[int] = []
-    used: set[int] = set()
+    used: set[int] = set(fence)
     for t, k in zip(order, keep):
-        hedge = [h.edge_ids[e] for e in combinations(sub.cliques[t], 2)]
+        hedge = h.hedges[t]
         if k and used.isdisjoint(hedge):
-            chosen.append(h.cliques.index(sub.cliques[t]))
+            chosen.append(t)
             used.update(hedge)
-    fence_ids = [h.edge_ids[e] for e in sorted(fence)]
-    return h, fence_ids, sub, chosen, used, draw(st.integers(1, 4))
+    return h, fence, chosen, used.difference(fence)
 
 
-@given(partial_packings())
-@settings(max_examples=300, deadline=None)
-def test_polish_matches_the_mutate_and_revert_reference(instance):
-    # polish on the host's index with a fence acts as the reference on
-    # the index of the host minus the fence
-    h, fence, sub, chosen, used, passes = instance
-    ref_chosen = [sub.cliques.index(h.cliques[t]) for t in chosen]
-    ref_used = {sub.edge_ids[h.edges[e]] for e in used}
-    want = reference_polish(sub.hedges, sub.through, ref_chosen, ref_used, passes)
-    assert _polish(h, chosen, used, passes, fence) == want
-    assert [h.cliques[t] for t in chosen] == [sub.cliques[t] for t in ref_chosen]
-    assert {h.edges[e] for e in used} == {sub.edges[e] for e in ref_used}
+@given(partial_packings(), st.integers(0, 50))
+@settings(max_examples=200, deadline=None)
+def test_polish_walk_keeps_a_packing_off_the_fence(instance, seed):
+    h, fence, chosen, used = instance
+    covered = []
+    for steps in (0, 1, 2, 5, 20, 80):
+        c, u = list(chosen), set(used)
+        gain = _polish(h, c, u, fence, stream(seed, "walk"), steps)
+        # the chosen ids are edge-disjoint cliques of the index, in id
+        # order, covering exactly used and no fenced edge
+        assert c == sorted(set(c)) and all(0 <= t < len(h) for t in c)
+        edges = [x for t in c for x in h.hedges[t]]
+        assert len(edges) == len(set(edges)) and set(edges) == u
+        assert u.isdisjoint(fence)
+        assert gain == len(u) - len(used)
+        if not steps:
+            # the fill alone makes the packing maximal off the fence
+            blocked = u.union(fence)
+            assert all(blocked.intersection(hedge) for hedge in h.hedges)
+        # the same seed gives the same output
+        again_c, again_u = list(chosen), set(used)
+        _polish(h, again_c, again_u, fence, stream(seed, "walk"), steps)
+        assert (again_c, again_u) == (c, u)
+        covered.append(len(u))
+    # a longer walk repeats a shorter one's steps, so coverage never falls
+    assert covered == sorted(covered)
 
 
 def test_matching_with_reserves_completes_the_star_instance():
@@ -307,6 +318,49 @@ def test_embed_fixer_fails_loudly_on_sparse_hosts():
     pool, _ = slice_graph(g, Fraction(1, 4), 1, 3)
     with pytest.raises(EmbedFailure):
         embed_fixer(g, 3, stream(3, "embed"), pool)
+
+
+@pytest.mark.parametrize("g, q, per", [
+    (gnp(40, Fraction(4, 5), 0), 3, 4),
+    # the q=4 fat zone anchors 33 gadgets of 25 edges on three roots,
+    # so the host is complete and the body the square of a path
+    (complete_graph(130), 4, 25),
+])
+def test_each_gadget_takes_fake_edge_many_pool_edges(g, q, per):
+    # the pool-size check in embed_fixer counts on this: every gadget
+    # takes exactly e(fake_edge(q)) pool edges, disjoint from the others'
+    if q == 3:
+        pool, _ = slice_graph(g, Fraction(1, 4), 1, 0)
+    else:
+        pool = Graph(g.n, {(u, v) for u, v in g.edges if v - u > 2})
+    emb = embed_fixer(g, q, stream(0, "embed"), pool)
+    assert fake_edge(q).graph.m == per
+    taken = [emb.gadget_edges(key) for key in emb.blueprint.gadget_keys()]
+    assert all(len(set(es)) == per and set(es) <= pool.edges for es in taken)
+    flat = [e for es in taken for e in es]
+    assert len(flat) == len(set(flat)) == len(taken) * per
+
+
+@pytest.mark.parametrize("n, p, q, seed", [
+    (26, Fraction(2, 5), 3, 3),
+    (16, Fraction(3, 4), 4, 3),
+])
+def test_embed_fixer_refuses_a_pool_too_small_for_its_gadgets(monkeypatch, n, p, q, seed):
+    g = gnp(n, p, seed)
+    pool, _ = slice_graph(g, Fraction(1, 4), 1, seed)
+    need = len(FixerBlueprint(q, n).gadget_keys()) * fake_edge(q).graph.m
+    assert pool.m < need
+
+    def no_search(*args):
+        raise AssertionError("the path search ran")
+
+    monkeypatch.setattr(pipeline, "_fat_prefixes", no_search)
+    monkeypatch.setattr(pipeline, "_hamilton_path_power", no_search)
+    rng = stream(seed, "embed")
+    state = rng.getstate()
+    with pytest.raises(EmbedFailure, match=f"has {pool.m} edges, .* need {need}"):
+        embed_fixer(g, q, rng, pool)
+    assert rng.getstate() == state
 
 
 @given(
