@@ -328,12 +328,12 @@ def _finish_pack(args, rep) -> int:
 
 def cmd_pack_gnp(args) -> int:
     seed = _resolve_seed(args)
-    return _finish_pack(args, pack_gnp(args.n, args.p, args.q, seed, absorb=args.absorb))
+    return _finish_pack(args, pack_gnp(args.n, args.p, args.q, seed))
 
 
 def cmd_pack_gnd(args) -> int:
     seed = _resolve_seed(args)
-    return _finish_pack(args, pack_gnd(args.n, args.d, args.q, seed, absorb=args.absorb))
+    return _finish_pack(args, pack_gnd(args.n, args.d, args.q, seed))
 
 
 # ===================================================================
@@ -654,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--d", type=int, required=True)
         sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--absorb", action="store_true", help="arm the reserve absorber")
         _add_seed(sp)
         sp.add_argument("-o", "--out", metavar="FILE", help="write the packing here")
         _add_json(sp)

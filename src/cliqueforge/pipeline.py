@@ -7,15 +7,17 @@ through the design hypergraph, complete leftovers through reserve
 cliques (scarcest first), apply the fixer, then polish on all of G:
 fill the packing to maximality and run Stinson's switch walk on the
 leave for WALK_STEPS * e(G) steps, which may cover fixer-deleted edges
-again.  A tiny leftover is optionally absorbed.  Stage failures always
-degrade to a larger leave, never to an invalid packing.
+again.  Stage failures always degrade to a larger leave, never to an
+invalid packing.
 
 Accounting: stages fixer_deleted / nibble / reserve / absorbed plus
 the reported leave partition e(G) exactly.  fixer_deleted counts the
 fixer-deleted edges the polish left uncovered, and the polish's net
-coverage falls into nibble.  The classical lower bound applies to all
-uncovered edges, deleted or not, so the validity check is
-fixer_deleted + leave >= optimal_leave_number(G).
+coverage falls into nibble.  absorbed is always 0: no pack stage
+absorbs, and the key stays so the version-1 report keeps its shape.
+The classical lower bound applies to all uncovered edges, deleted or
+not, so the validity check is fixer_deleted + leave >=
+optimal_leave_number(G).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
-from .gadgets import fake_edge, naive_omni_absorber
+from .gadgets import fake_edge
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
 from .randgraphs import gnd, gnp, slice_graph, stream
 from .solver import CliqueIndex, min_leave_packing
@@ -53,11 +55,10 @@ WALK_STEPS = 5
 HAMILTON_TRIES = 60
 GADGET_TRIES = 40
 # Shares of the edges sliced off for the reserve and the gadget pool,
-# the largest reserve zone an omni absorber is built for, and the edge
-# count up to which a pack is solved exactly instead of staged.
+# and the edge count up to which a pack is solved exactly instead of
+# staged.
 RESERVE_FRAC = Fraction(1, 24)
 GADGET_FRAC = Fraction(1, 4)
-ABSORB_CAP = 6
 EXACT_CUTOFF = 30
 
 
@@ -119,10 +120,8 @@ def random_greedy_matching(index: CliqueIndex, rng, fence):
 # Local search: greedy fill, then a switch walk on the leave
 # ===================================================================
 
-# owner[e] for an edge id e in no chosen clique: a leave edge, or one
-# the stage may not use
+# owner[e] for an edge id e in no chosen clique
 LEAVE = -1
-FENCED = -2
 
 
 def _fill_pass(h: CliqueIndex, owner: list[int]) -> int:
@@ -153,11 +152,11 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
     A step draws a vertex v of leave degree at least 2 and an ordered
     pair of its leave edges vu, vw.  It stalls if uw is not an edge;
     otherwise it draws a clique t uniformly from those on u, v and w
-    (for q = 3, the triangle uvw).  If every other edge of t is leave,
-    or lies in one chosen clique b and is not fenced, t is taken and b
-    dropped.  That gains binom(q, 2) edges or none, so coverage never
-    falls while the leave keeps moving.  Mutates owner; returns the
-    number of edges gained.
+    (for q = 3, the triangle uvw).  If every other edge of t is leave
+    or lies in one chosen clique b, t is taken and b dropped.  That
+    gains binom(q, 2) edges or none, so coverage never falls while the
+    leave keeps moving.  Mutates owner; returns the number of edges
+    gained.
 
     nbrs[v] lists the leave edge ids at v; slot[2e] and slot[2e + 1]
     are the places of e in the lists of its lower and upper end.  hot
@@ -226,7 +225,7 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
             o = owner[x]
             if o == LEAVE:
                 continue
-            if o == FENCED or drop != LEAVE and drop != o:
+            if drop != LEAVE and drop != o:
                 break
             drop = o
         else:
@@ -248,15 +247,13 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
     return gain
 
 
-def _polish(h: CliqueIndex, chosen: list[int], used: set, fence, rng, steps: int) -> int:
+def _polish(h: CliqueIndex, chosen: list[int], used: set, rng, steps: int) -> int:
     """Fill the packing to maximality, then walk the leave for steps.
 
-    The edge ids in fence are never used.  Mutates chosen (left in id
-    order) and used; returns the number of edges gained.
+    Mutates chosen (left in id order) and used; returns the number of
+    edges gained.
     """
     owner = [LEAVE] * len(h.edges)
-    for e in fence:
-        owner[e] = FENCED
     for t in chosen:
         for x in h.hedges[t]:
             owner[x] = t
@@ -802,76 +799,7 @@ class PackReport:
         )
 
 
-def _embed_pattern(n: int, pattern: list, fixed: dict, free: set):
-    """Injective vertex assignment landing every pattern edge in free.
-
-    fixed pins some pattern vertices to host vertices; the rest are
-    assigned by DFS over host vertices.  Returns the full map or None.
-    """
-    fresh = sorted(
-        {v for e in pattern for v in e if v not in fixed}
-    )
-    assign = dict(fixed)
-
-    def extend(i) -> bool:
-        if i == len(fresh):
-            return True
-        w = fresh[i]
-        placed = set(assign.values())
-        for host in range(n):
-            if host in placed:
-                continue
-            ok = True
-            pend: list = []
-            for x, y in pattern:
-                if w not in (x, y):
-                    continue
-                other = y if x == w else x
-                if other not in assign:
-                    continue
-                e = (assign[other], host)
-                e = e if e[0] < e[1] else (e[1], e[0])
-                if e not in free or e in pend:
-                    ok = False
-                    break
-                pend.append(e)
-            if not ok:
-                continue
-            assign[w] = host
-            if extend(i + 1):
-                return True
-            del assign[w]
-        return False
-
-    return dict(assign) if extend(0) else None
-
-
-def _reserve_absorber(g: Graph, x_res: Graph, main: Graph, q: int):
-    """Build the omni absorber for the reserve zone and place it in main.
-
-    Returns (omni, vertex map, embedded edge set) or None.  The
-    embedded edges are set aside: excluded from every packing stage so
-    the final table lookup can spend them on the actual leftover.
-    """
-    try:
-        omni = naive_omni_absorber(Graph(g.n, x_res.edges), q)
-    except ValueError:
-        return None
-    support = sorted({v for e in x_res.edges for v in e})
-    pattern = omni.a.sorted_edges()
-    mapping = _embed_pattern(
-        g.n, pattern, {v: v for v in support}, set(main.edges)
-    )
-    if mapping is None:
-        return None
-    emb_edges = set()
-    for x, y in pattern:
-        a, b = mapping[x], mapping[y]
-        emb_edges.add((a, b) if a < b else (b, a))
-    return omni, mapping, frozenset(emb_edges)
-
-
-def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
+def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
     t0 = time.perf_counter()
     rng_embed = stream(seed, "embed")
     rng_nibble = stream(seed, "nibble")
@@ -883,7 +811,7 @@ def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
         stages["nibble"] = g.m - res.leave
         ms = int((time.perf_counter() - t0) * 1000)
         rep = verify_packing(g, res.packing)
-        valid = rep.valid and res.leave >= opt_bound
+        valid = rep.valid and rep.leave.m == res.leave and res.leave >= opt_bound
         return PackReport(
             g.n, p, d, q, seed, stages, res.leave, opt_bound, valid, ms,
             res.packing, "exact", (),
@@ -903,22 +831,17 @@ def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
         fixer_edges = frozenset()
         fixer_mode = "deletion"
 
-    # (iii) reserve slice from the non-fixer part; set aside an omni
-    # absorber for the reserve zone when asked and the zone is tiny
+    # (iii) reserve slice from the non-fixer part
     pool = Graph(g.n, base.edges - fixer_edges)
     x_res, main = slice_graph(pool, RESERVE_FRAC, 1, seed ^ 0x72657376)
-    absorber = None
-    if absorb and q == 3 and 0 < x_res.m <= ABSORB_CAP:
-        absorber = _reserve_absorber(g, x_res, main, q)
-    aside = absorber[2] if absorber else frozenset()
 
     # (iv) + (v) nibble on the main slice A, completion through reserve
     # cliques; every stage from here on works on one clique index of g,
-    # fencing the edges it may not use, so ids pass between stages
+    # so ids pass between stages
     index = design_hypergraph(g, q)
     ids = index.edge_ids
     zone = bytearray(len(index.edges))
-    for e in main.edges - aside:
+    for e in main.edges:
         zone[ids[e]] = 1
     for e in x_res.edges:
         zone[ids[e]] = 2
@@ -926,47 +849,21 @@ def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
     chosen, used = match.nibble_cliques + match.reserve_cliques, match.used
 
     # (vi) apply the fixer, then polish on all of G, fixer-deleted edges
-    # included.  A live absorber keeps for its table the zone's unused
-    # edges that some table entry holds (they are spent by the table, or
-    # stay in the leave on a miss), and the deleted edges stay out, since
-    # the table takes only the divisible leftovers the deletions leave.
-    # Only the deleted edges the polish left uncovered count as deleted.
+    # included; only the deleted edges the polish left uncovered count
+    # as deleted
     if emb is not None:
         deleted = list(apply_fixer(g, emb).deleted)
-    armed = absorber is not None and len(absorber[0].table) > 1
-    exclude = set(aside)
-    if armed:
-        exclude.update(e for key in absorber[0].table for e in key if ids[e] not in used)
-        exclude.update(deleted)
-    _polish(
-        index, chosen, used, [ids[e] for e in exclude], stream(seed, "walk"),
-        WALK_STEPS * g.m,
-    )
+    _polish(index, chosen, used, stream(seed, "walk"), WALK_STEPS * g.m)
     deleted = [e for e in deleted if ids[e] not in used]
     stages["fixer_deleted"] = len(deleted)
     base = Graph(g.n, g.edges - set(deleted)) if deleted else g
-    cliques = [index.cliques[t] for t in chosen]
-    covered = len(used)
 
-    # (vii) absorb: if the leftover sits inside the zone, the table
-    # decomposes it together with the whole set-aside absorber
     per = q * (q - 1) // 2
-    if absorber is not None:
-        omni, mapping, _ = absorber
-        leftover = frozenset(
-            base.edges - aside - {index.edges[e] for e in used}
-        )
-        if leftover in omni.table:
-            for c in omni.table[leftover].cliques:
-                cliques.append(tuple(sorted(mapping[v] for v in c)))
-                stages["absorbed"] += per
-            covered += len(leftover) + len(aside)
-
     reserve_ids = set(match.reserve_cliques)
     stages["reserve"] = per * sum(1 for t in chosen if t in reserve_ids)
-    stages["nibble"] = covered - stages["reserve"] - stages["absorbed"]
-    packing = Packing(q, cliques)
-    leave = base.m - covered
+    stages["nibble"] = len(used) - stages["reserve"]
+    packing = Packing(q, [index.cliques[t] for t in chosen])
+    leave = base.m - len(used)
     ms = int((time.perf_counter() - t0) * 1000)
     rep = verify_packing(base, packing)
     valid = (
@@ -981,15 +878,14 @@ def _pack(g: Graph, q: int, seed: int, p, d, absorb: bool) -> PackReport:
     )
 
 
-def pack_gnp(n: int, p, q: int, seed: int, *, absorb: bool = False) -> PackReport:
-    """Sample G(n, p) and run the staged packing pipeline on it; absorb
-    sets an omni absorber aside for a tiny reserve zone (q = 3 only)."""
-    return _pack(gnp(n, p, seed), q, seed, Fraction(p), None, absorb)
+def pack_gnp(n: int, p, q: int, seed: int) -> PackReport:
+    """Sample G(n, p) and run the staged packing pipeline on it."""
+    return _pack(gnp(n, p, seed), q, seed, Fraction(p), None)
 
 
-def pack_gnd(n: int, d: int, q: int, seed: int, *, absorb: bool = False) -> PackReport:
+def pack_gnd(n: int, d: int, q: int, seed: int) -> PackReport:
     """Sample a d-regular graph and run the staged packing pipeline."""
-    return _pack(gnd(n, d, seed), q, seed, None, d, absorb)
+    return _pack(gnd(n, d, seed), q, seed, None, d)
 
 
 # ===================================================================

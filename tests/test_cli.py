@@ -356,21 +356,6 @@ def test_pack_gnp_text_report_matches_the_library(tmp_path, capsys):
     assert out.read_text() == serialize_packing(rep.packing)
 
 
-def test_pack_absorb_flag_reaches_the_library(capsys):
-    # an instance where arming the reserve absorber changes the pack
-    argv = ["pack", "gnp", "--n", "13", "--p", "9/10", "--q", "3", "--seed", "22", "--json"]
-    docs = []
-    for extra in (["--absorb"], []):
-        _, stdout, _ = run(argv + extra, capsys)
-        doc = json.loads(stdout)
-        doc.pop("ms")
-        docs.append(doc)
-    want = pack_gnp(13, Fraction(9, 10), 3, 22, absorb=True).to_json(include_ms=False)
-    assert docs[0] == want
-    assert docs[1] == pack_gnp(13, Fraction(9, 10), 3, 22).to_json(include_ms=False)
-    assert docs[0] != docs[1]
-
-
 def test_pack_gnd_json_report_matches_the_library(capsys):
     rc, stdout, _ = run(["pack", "gnd", "--n", "18", "--d", "8", "--q", "3", "--seed", "2", "--json"], capsys)
     rep = pack_gnd(18, 8, 3, 2)

@@ -2,8 +2,8 @@
 
 The digest covers the schedule-free report JSON, the sorted cliques and
 the sorted deleted edges of a few fixed pipeline runs (the nibble with
-reserves and the polish walk, a q=4 run, the exact-cutoff path, an
-absorber table hit, a regular host), plus exact-cover and minimum-leave
+reserves and the polish walk, a q=4 run, the exact-cutoff path, a
+regular host), plus exact-cover and minimum-leave
 results.  A second digest covers two pack_gnp(160, 3/10, 3) calls, where
 the polish walk makes thousands of switches per call, and a min-leave
 search that runs out of its node budget.  A third digest covers fractional weightings,
@@ -18,10 +18,6 @@ outputs is held to it.
 import hashlib
 import json
 from fractions import Fraction
-
-import pytest
-
-from cliqueforge import pipeline
 
 from cliqueforge.fractional import (
     CliqueWeighting,
@@ -43,7 +39,7 @@ from cliqueforge.solver import (
 
 from oracles import complete_graph
 
-PINNED = "b0dcd53c39795a6a11d81c4308a8738f3efb8a8c8dd076255df81dde00f517eb"
+PINNED = "4c4b3a9a5478ff6a7c0703f09d899c9506e75dd69b8c9a21ef37e80bea3a6cfb"
 PINNED_AT_SCALE = "56dd2faeb02f0ff3c81b0a167df22507a1b939c6aa280bf7f5858d57c1c38c1d"
 PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b4c7ef"
 # the cliques of the anti_clique_absorber(4) host's decomposition, in
@@ -66,11 +62,6 @@ def _outputs():
         _pack_doc(pack_gnp(16, Fraction(3, 4), 4, 3)),
         _pack_doc(pack_gnp(11, Fraction(1, 2), 3, 1)),
     ]
-    # the absorber run alone takes a reserve of 1/12, large enough to
-    # hold its leftover
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "RESERVE_FRAC", Fraction(1, 12))
-        docs.append(_pack_doc(pack_gnp(13, Fraction(9, 10), 3, 38, absorb=True)))
     docs.append(_pack_doc(pack_gnd(60, 12, 3, 3)))
     for g, q in ((gnp(11, Fraction(1, 2), 4), 3), (gnp(10, Fraction(3, 4), 5), 4)):
         res = min_leave_packing(g, q)
@@ -128,7 +119,6 @@ def test_outputs_match_the_pinned_digest():
     docs = _outputs()
     assert docs[0][1]["stages"]["reserve"] > 0  # reserve completion ran
     assert docs[2][0] == "exact"  # the exact-cutoff path
-    assert docs[3][1]["stages"]["absorbed"] == 3  # the absorber table hit
     assert _digest(docs) == PINNED
 
 

@@ -200,9 +200,8 @@ def test_random_greedy_matching_off_a_fence_draws_as_on_the_rest(data):
 
 @st.composite
 def partial_packings(draw):
-    """A host of at most 14 vertices, its K_q index, a random fence (as
-    edge ids) and a random partial packing off the fence (cliques drawn
-    in random order, each kept or skipped)."""
+    """A host of at most 14 vertices, its K_q index and a random partial
+    packing (cliques drawn in random order, each kept or skipped)."""
     q = draw(st.sampled_from([3, 4]))
     n = draw(st.integers(q, 14))
     sparse = draw(st.sampled_from([2, 3, 4]))  # edge density 1 - 1/sparse
@@ -212,41 +211,38 @@ def partial_packings(draw):
     ))
     g = Graph(n, [e for e, k in zip(pairs, picks) if k])
     h = design_hypergraph(g, q)
-    fence = sorted(h.edge_ids[e] for e in _fenced(draw, g))
     order = draw(st.permutations(range(len(h))))
     keep = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
     chosen: list[int] = []
-    used: set[int] = set(fence)
+    used: set[int] = set()
     for t, k in zip(order, keep):
         hedge = h.hedges[t]
         if k and used.isdisjoint(hedge):
             chosen.append(t)
             used.update(hedge)
-    return h, fence, chosen, used.difference(fence)
+    return h, chosen, used
 
 
 @given(partial_packings(), st.integers(0, 50))
 @settings(max_examples=200, deadline=None)
-def test_polish_walk_keeps_a_packing_off_the_fence(instance, seed):
-    h, fence, chosen, used = instance
+def test_polish_walk_keeps_a_packing(instance, seed):
+    h, chosen, used = instance
     covered = []
     for steps in (0, 1, 2, 5, 20, 80):
         c, u = list(chosen), set(used)
-        gain = _polish(h, c, u, fence, stream(seed, "walk"), steps)
+        gain = _polish(h, c, u, stream(seed, "walk"), steps)
         # the chosen ids are edge-disjoint cliques of the index, in id
-        # order, covering exactly used and no fenced edge
+        # order, covering exactly used
         assert c == sorted(set(c)) and all(0 <= t < len(h) for t in c)
         edges = [x for t in c for x in h.hedges[t]]
         assert len(edges) == len(set(edges)) and set(edges) == u
-        assert u.isdisjoint(fence)
         assert gain == len(u) - len(used)
         if not steps:
-            # the fill alone makes the packing maximal off the fence
-            blocked = u.union(fence)
-            assert all(blocked.intersection(hedge) for hedge in h.hedges)
+            # the fill alone makes the packing maximal
+            assert all(u.intersection(hedge) for hedge in h.hedges)
         # the same seed gives the same output
         again_c, again_u = list(chosen), set(used)
-        _polish(h, again_c, again_u, fence, stream(seed, "walk"), steps)
+        _polish(h, again_c, again_u, stream(seed, "walk"), steps)
         assert (again_c, again_u) == (c, u)
         covered.append(len(u))
     # a longer walk repeats a shorter one's steps, so coverage never falls
@@ -407,8 +403,8 @@ def test_pack_gnp_report_accounting(seed):
     ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2)),
 ])
 def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
-    # the nibble, reserve completion and global polish share one index
-    # and differ only in their fences, so neither entry point runs twice
+    # the nibble, reserve completion and global polish share one index,
+    # so neither entry point runs twice
     calls = []
     for module, name in ((pipeline, "design_hypergraph"), (solver, "enumerate_cliques")):
         f = getattr(module, name)
@@ -430,6 +426,19 @@ def test_pack_gnp_exact_cutoff_path():
     assert rep.fixer_mode == "exact"
     assert rep.leave >= rep.optimal_leave
     assert rep.valid
+
+
+def test_exact_cutoff_path_recounts_the_leave(monkeypatch):
+    # a search result whose leave disagrees with its packing is invalid
+    def miscounted(g, q):
+        res = solver.min_leave_packing(g, q)
+        res.leave += 1
+        return res
+
+    monkeypatch.setattr(pipeline, "min_leave_packing", miscounted)
+    rep = pack_gnp(8, Fraction(1, 2), 3, 5)
+    assert rep.fixer_mode == "exact"
+    assert rep.valid is False
 
 
 def test_pack_gnd_report_accounting():
@@ -456,26 +465,6 @@ def test_pack_report_json_schema():
     assert doc["params"]["p"] == "1/2"
     assert "ms" not in rep.to_json(include_ms=False)
     assert json.dumps(doc, sort_keys=True)  # JSON-serializable throughout
-
-
-def test_pack_absorption_regression(monkeypatch):
-    # organic table hit: the leftover lands inside the armed zone, which
-    # a reserve of 1/12 makes large enough to hold it
-    monkeypatch.setattr(pipeline, "RESERVE_FRAC", Fraction(1, 12))
-    assert gnp(13, Fraction(9, 10), 38).m > pipeline.EXACT_CUTOFF
-    rep = pack_gnp(13, Fraction(9, 10), 3, seed=38, absorb=True)
-    assert rep.stages["absorbed"] == 3
-    assert rep.leave == 0
-    assert rep.valid
-    check_report(rep, gnp(13, Fraction(9, 10), 38))
-
-
-def test_absorb_disarmed_without_a_zone(monkeypatch):
-    monkeypatch.setattr(pipeline, "RESERVE_FRAC", Fraction(1, 12))
-    off = pack_gnp(13, Fraction(9, 10), 3, 38)
-    monkeypatch.setattr(pipeline, "ABSORB_CAP", 0)
-    on = pack_gnp(13, Fraction(9, 10), 3, 38, absorb=True)
-    assert on.to_json(include_ms=False) == off.to_json(include_ms=False)
 
 
 # ===================================================================
