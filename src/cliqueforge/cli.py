@@ -319,7 +319,7 @@ def _finish_pack(args, rep) -> int:
         st = rep.stages
         print(
             f"stages: fixer_deleted={st['fixer_deleted']} nibble={st['nibble']} "
-            f"reserve={st['reserve']} absorbed={st['absorbed']}"
+            f"reserve={st['reserve']}"
         )
         print(f"leave: {rep.leave} (optimal {rep.optimal_leave})")
         print(f"valid: {'yes' if rep.valid else 'no'}")

@@ -4,11 +4,11 @@ The pipeline packs a sampled random graph in stages: embed a spanning
 divisibility fixer (Hamilton path power plus fake-edge gadgets placed
 in a dedicated slice), reserve an edge slice, pack the rest greedily
 through the design hypergraph, complete leftovers through reserve
-cliques (scarcest first), apply the fixer, then polish on all of G:
-fill the packing to maximality and run Stinson's switch walk on the
-leave for WALK_STEPS * e(G) steps, which may cover fixer-deleted edges
-again.  Stage failures always degrade to a larger leave, never to an
-invalid packing.
+cliques in one pass in edge-id order, apply the fixer, then polish on
+all of G: fill the packing to maximality and run Stinson's switch walk
+on the leave for WALK_STEPS * e(G) steps, which may cover
+fixer-deleted edges again.  Stage failures always degrade to a larger
+leave, never to an invalid packing.
 
 Accounting: stages fixer_deleted / nibble / reserve / absorbed plus
 the reported leave partition e(G) exactly.  fixer_deleted counts the
@@ -22,7 +22,6 @@ optimal_leave_number(G).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -290,12 +289,13 @@ def matching_with_reserves(index: CliqueIndex, zone, rng) -> ReserveMatchingResu
     """Nibble on the cliques inside A, then complete uncovered A-edges.
 
     zone marks A and B as reserve_hypergraph reads it; the nibble is a
-    random greedy matching that fences every edge outside A, and
-    completion draws from the reserve cliques of each uncovered A-edge.
-    Completion is scarcest-first: the A-edge with the fewest remaining
-    reserve cliques goes first (ties by edge id), each choice uniform
-    among its valid cliques.  Failure lists the stranded A-edges; the chosen cliques
-    always form a valid partial packing.
+    random greedy matching that fences every edge outside A.  Completion
+    visits the uncovered A-edges once, in id order, and takes a clique
+    drawn uniformly among that edge's reserve cliques still disjoint
+    from the covered edges; an edge with none is stranded.  A reserve
+    clique has one A-edge, so no pick covers another edge's target.
+    Failure lists the stranded A-edges; the chosen cliques always form
+    a valid partial packing.
     """
     fence = [e for e, z in enumerate(zone) if z != 1]
     chosen, used = random_greedy_matching(index, rng, fence)
@@ -303,48 +303,16 @@ def matching_with_reserves(index: CliqueIndex, zone, rng) -> ReserveMatchingResu
     need = [e for e, z in enumerate(zone) if z == 1 and e not in used]
     reserves = reserve_hypergraph(index, zone, need)
     hedges = index.hedges
-
-    # A reserve clique has one A-edge, so it is listed under that edge
-    # alone.  live maps each listed clique with no used edge to its
-    # A-edge, count[e] is the number of live cliques listed under e,
-    # and listed[x] holds the live cliques on edge id x.
-    live: dict[int, int] = {}
-    listed: dict[int, list[int]] = {}
-    count: dict[int, int] = {}
-    for e in need:
-        opts = [t for t in reserves[e] if not any(x in used for x in hedges[t])]
-        count[e] = len(opts)
-        for t in opts:
-            live[t] = e
-            for x in hedges[t]:
-                listed.setdefault(x, []).append(t)
-
-    # scarcest first, ties by edge id; an entry is stale once its edge
-    # is done or its count has dropped (a fresher entry is queued then)
-    heap = [(count[e], e) for e in need]
-    heapq.heapify(heap)
-    pending = set(need)
     reserve_chosen: list[int] = []
     stranded: list[int] = []
-    while heap:
-        c, target = heapq.heappop(heap)
-        if target not in pending or c != count[target]:
-            continue
-        pending.remove(target)
-        opts = [t for t in reserves[target] if t in live]
+    for e in need:
+        opts = [t for t in reserves[e] if used.isdisjoint(hedges[t])]
         if not opts:
-            stranded.append(target)
+            stranded.append(e)
             continue
         t = opts[rng.randrange(len(opts))]
         reserve_chosen.append(t)
         used.update(hedges[t])
-        for x in hedges[t]:
-            for s in listed.get(x, ()):
-                owner = live.pop(s, None)
-                if owner is not None:
-                    count[owner] -= 1
-                    if owner in pending:
-                        heapq.heappush(heap, (count[owner], owner))
 
     return ReserveMatchingResult(
         not stranded, chosen, reserve_chosen, tuple(stranded), used
@@ -360,28 +328,25 @@ class EmbedFailure(Exception):
     pass
 
 
-def _hamilton_path_power(g: Graph, power: int, rng, tries: int, need_02: bool,
-                         prefix=None):
-    """Spanning path whose i..i+power windows are cliques; None if stuck.
+def _hamilton_path_power(g: Graph, power: int, rng, tries: int, prefix):
+    """Spanning path that starts with prefix and whose i..i+power
+    windows are cliques; None if no try reaches every vertex.
 
-    power 1 rotates (reverse the tail segment at a pivot) when boxed
-    in; higher powers restart instead.  need_02 additionally requires
-    the 0-2 chord for the fat triangle of a q=3 blueprint.  A prefix
-    pins the first vertices (the caller guarantees its own adjacency);
-    rotations never touch it.
+    The caller guarantees the prefix's own adjacency.  power 1 rotates
+    when boxed in: it reverses the tail after a pivot, a neighbour of
+    the last vertex at or after the prefix's end, so the prefix stays
+    put; higher powers restart instead.
     """
     n = g.n
     adj = g.adjacency()
-    keep = len(prefix) if prefix else 1
-    if n <= 2:
-        return None if need_02 else list(range(n))
+    keep = len(prefix)
     for _ in range(tries):
-        path = list(prefix) if prefix else [rng.randrange(n)]
+        path = list(prefix)
         inside = set(path)
         steps = 0
         while len(path) < n and steps < 6 * n:
             steps += 1
-            back = path[-min(power, len(path)) :]
+            back = path[-power:]
             cands = set(adj[back[-1]])
             for v in back[:-1]:
                 cands &= adj[v]
@@ -400,18 +365,11 @@ def _hamilton_path_power(g: Graph, power: int, rng, tries: int, need_02: bool,
                     break
                 u = pivots[rng.randrange(len(pivots))]
                 i = path.index(u)
-                if i + 1 >= len(path):
-                    break
                 path[i + 1 :] = reversed(path[i + 1 :])
             else:
                 break
         if len(path) == n:
-            if prefix or not need_02:
-                return path
-            if g.has_edge(path[0], path[2]):
-                return path
-            if g.has_edge(path[-1], path[-3]):
-                return list(reversed(path))
+            return path
     return None
 
 
@@ -462,11 +420,18 @@ def embed_fixer(
 ) -> EmbeddedFixer:
     """Place a spanning fixer: path power outside the pool, gadgets in it.
 
-    Raises EmbedFailure when the pool has fewer edges than the gadgets
-    take (each takes fake_edge(q).graph.m pool edges, disjoint from the
-    others'), when no spanning path power shows up, or when some
-    fake-edge gadget cannot be placed edge-disjointly in the pool.
+    The path power starts from a fat prefix, a t-clique of the body
+    (t = max(3, q - 2)) whose vertices have many pool edges; there is
+    no search from any other start.  Raises EmbedFailure when g has
+    fewer than t vertices, when the pool has fewer edges than the
+    gadgets take (each takes fake_edge(q).graph.m pool edges, disjoint
+    from the others'), when no path power from a fat prefix spans the
+    body, when some fake-edge gadget cannot be placed edge-disjointly
+    in the pool, or when the embedding fails validation.
     """
+    t = max(3, q - 2)
+    if g.n < t:
+        raise EmbedFailure(f"host has {g.n} vertices, the fat zone needs {t}")
     blueprint = FixerBlueprint(q, g.n)
     keys = blueprint.gadget_keys()
     need = len(keys) * fake_edge(q).graph.m
@@ -475,22 +440,14 @@ def embed_fixer(
             f"gadget pool has {gadget_pool.m} edges, {len(keys)} gadgets need {need}"
         )
     body = Graph(g.n, g.edges - gadget_pool.edges)
-    t = max(3, q - 2)
     demand = (t - 1) * (q * (q - 1) - 1) + 2
     prefixes = _fat_prefixes(body, gadget_pool, t, demand)
-    order = None
     per = max(4, HAMILTON_TRIES // max(1, len(prefixes)))
     for prefix in prefixes:
-        order = _hamilton_path_power(
-            body, q - 2, rng, per, need_02=False, prefix=list(prefix)
-        )
+        order = _hamilton_path_power(body, q - 2, rng, per, prefix)
         if order is not None:
             break
-    if order is None:
-        order = _hamilton_path_power(
-            body, q - 2, rng, HAMILTON_TRIES, need_02=(q == 3)
-        )
-    if order is None:
+    else:
         raise EmbedFailure("no spanning path power found")
     avail = {v: set(ws) for v, ws in gadget_pool.adjacency().items()}
 

@@ -349,11 +349,19 @@ def test_pack_gnp_text_report_matches_the_library(tmp_path, capsys):
     assert stdout == (
         f"pack gnp: n=24 p=1/2 q=3 seed=5\n"
         f"stages: fixer_deleted={st['fixer_deleted']} nibble={st['nibble']} "
-        f"reserve={st['reserve']} absorbed={st['absorbed']}\n"
+        f"reserve={st['reserve']}\n"
         f"leave: {rep.leave} (optimal {rep.optimal_leave})\n"
         f"valid: {'yes' if rep.valid else 'no'}\n"
     )
     assert out.read_text() == serialize_packing(rep.packing)
+
+
+def test_pack_on_a_host_smaller_than_the_fat_zone_degrades(capsys):
+    # q = 12 needs 10 fat-zone vertices, so the fixer repairs by deletion
+    rc, stdout, _ = run(["pack", "gnp", "--n", "9", "--p", "1", "--q", "12", "--seed", "0"], capsys)
+    assert rc == 0
+    assert "stages: fixer_deleted=36 nibble=0 reserve=0\n" in stdout
+    assert stdout.endswith("leave: 0 (optimal 36)\nvalid: yes\n")
 
 
 def test_pack_gnd_json_report_matches_the_library(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -275,6 +276,42 @@ def test_matching_with_reserves_completes_the_star_instance():
     assert oks >= 1
 
 
+@st.composite
+def zoned_hosts(draw):
+    """A host of at most 12 vertices, its K_q index and a zone byte per
+    edge id: 1 for A, 2 for B, 0 for neither."""
+    q = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(q, 12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    h = design_hypergraph(Graph(n, [e for e, k in zip(pairs, keep) if k]), q)
+    zones = draw(st.lists(
+        st.sampled_from([0, 1, 2]), min_size=len(h.edges), max_size=len(h.edges)
+    ))
+    return h, bytearray(zones)
+
+
+@given(zoned_hosts(), st.integers(0, 50))
+@settings(max_examples=200, deadline=None)
+def test_reserve_completion_is_maximal(instance, seed):
+    h, zone = instance
+    res = matching_with_reserves(h, zone, stream(seed, "mwr"))
+    chosen = res.nibble_cliques + res.reserve_cliques
+    edges = [x for t in chosen for x in h.hedges[t]]
+    assert len(edges) == len(set(edges)) and set(edges) == res.used
+    assert all(zone[x] == 1 for t in res.nibble_cliques for x in h.hedges[t])
+    for t in res.reserve_cliques:
+        assert sorted(zone[x] for x in h.hedges[t]) == [1] + [2] * (len(h.hedges[t]) - 1)
+    uncovered = [e for e, z in enumerate(zone) if z == 1 and e not in res.used]
+    assert res.stranded == tuple(uncovered) and res.ok == (not uncovered)
+    # no stranded edge has a reserve clique that is still free
+    for e in res.stranded:
+        for t in h.through[e]:
+            hedge = h.hedges[t]
+            if all(zone[x] == 2 for x in hedge if x != e):
+                assert not res.used.isdisjoint(hedge)
+
+
 def _pairs(c):
     return {(c[i], c[j]) for i in range(len(c)) for j in range(i + 1, len(c))}
 
@@ -398,15 +435,25 @@ def test_pack_gnp_report_accounting(seed):
     check_report(rep, gnp(40, Fraction(2, 5), seed))
 
 
+# the pack stages the benchmark tracer times, as pipeline looks them up
+PACK_STAGES = (
+    "embed_fixer", "fix_by_deletion", "design_hypergraph", "reserve_hypergraph",
+    "random_greedy_matching", "matching_with_reserves", "apply_fixer",
+    "_polish", "_fill_pass", "_augment_pass",
+)
+
+
 @pytest.mark.parametrize("mode, sample", [
     ("embedded", lambda: pack_gnp(80, Fraction(2, 5), 3, 1)),
     ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2)),
 ])
 def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
     # the nibble, reserve completion and global polish share one index,
-    # so neither entry point runs twice
+    # so neither entry point runs twice; every traced stage runs once,
+    # except the repair of the other fixer mode, which does not run
     calls = []
-    for module, name in ((pipeline, "design_hypergraph"), (solver, "enumerate_cliques")):
+    patched = [(pipeline, name) for name in PACK_STAGES] + [(solver, "enumerate_cliques")]
+    for module, name in patched:
         f = getattr(module, name)
 
         def counted(*args, f=f, name=name):
@@ -416,7 +463,20 @@ def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
         monkeypatch.setattr(module, name, counted)
     rep = sample()
     assert rep.fixer_mode == mode and rep.valid
-    assert calls == ["design_hypergraph", "enumerate_cliques"]
+    idle = "fix_by_deletion" if mode == "embedded" else "apply_fixer"
+    want = {name: 1 for _, name in patched if name != idle}
+    assert Counter(calls) == want
+
+
+def test_a_host_smaller_than_the_fat_zone_falls_back_to_deletion():
+    # at q = 12 the fat zone takes 10 vertices, one more than K_9 has
+    k9 = complete_graph(9)
+    with pytest.raises(EmbedFailure, match="host has 9 vertices"):
+        embed_fixer(k9, 12, stream(0, "embed"), k9)
+    rep = pack_gnp(9, 1, 12, 0)
+    assert rep.fixer_mode == "deletion"
+    assert rep.stages["fixer_deleted"] == 36 and rep.leave == 0
+    assert rep.valid
 
 
 def test_pack_gnp_exact_cutoff_path():
