@@ -5,15 +5,18 @@ Usage:
 
 Times exact_decomposition on the anti_clique_absorber(3) and (4) hosts
 (L + A), on the star_transformer(q, k) covers (T + L and T + L') and on
-K13 at q = 4, and times naive_omni_absorber(C6), whose private-absorber
-search runs the generic exact_cover_solutions.  Each call runs
+K13 at q = 4, times naive_omni_absorber(C6), whose private-absorber
+search runs the generic exact_cover_solutions, and times building
+anti_clique_absorber(3) and (4), the bundles whose hosts the first
+cases cover.  Each call runs
 REPEATS = 5 times on a fresh copy of its host, built outside the timed
 span, with the package imported from DIR (default: this checkout's
 src/).  The run is stored under LABEL in
 benchmarks/BENCH_exact_cover.json, next to the runs already there: the
 sha256 of each case's status, node count and cliques in search order (of
-the omni-absorber's graph and table for the last case) must agree
-between runs whose outputs are meant to be identical.
+the omni-absorber's graph and table, and of each built bundle's L, A
+and both certificates in order) must agree between runs whose outputs
+are meant to be identical.
 """
 
 from __future__ import annotations
@@ -70,6 +73,22 @@ def _omni_call():
     return ms, [omni.a.n, sorted(omni.a.edges), table]
 
 
+def _absorber_call(q):
+    from cliqueforge.gadgets import anti_clique_absorber
+
+    t = time.perf_counter()
+    b = anti_clique_absorber(q)
+    ms = (time.perf_counter() - t) * 1000
+    return ms, [
+        b.l.n,
+        b.l.sorted_edges(),
+        b.a.n,
+        b.a.sorted_edges(),
+        list(b.decomp_a.cliques),
+        list(b.decomp_la.cliques),
+    ]
+
+
 def _case(call) -> dict:
     samples = [call() for _ in range(REPEATS)]
     digests = {
@@ -90,10 +109,15 @@ def run() -> dict:
         for name, g, q in _hosts()
     }
     cases["naive_omni_absorber(C6)"] = _case(_omni_call)
+    for q in (3, 4):
+        cases[f"build anti_clique_absorber({q})"] = _case(lambda: _absorber_call(q))
     return {
         "machine": machine(),
         "repeats": REPEATS,
-        "workload": "exact_decomposition on gadget hosts; naive_omni_absorber(C6)",
+        "workload": (
+            "exact_decomposition on gadget hosts; naive_omni_absorber(C6); "
+            "anti_clique_absorber(3) and (4) builds"
+        ),
         "total_ms": round(sum(c["ms"] for c in cases.values()), 1),
         "cases": cases,
     }

@@ -2,7 +2,6 @@
 
 from .graphs import (
     Graph,
-    MultiGraph,
     Packing,
     is_kq_divisible,
     optimal_leave_number,
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "MultiGraph",
     "Packing",
     "is_kq_divisible",
     "optimal_leave_number",

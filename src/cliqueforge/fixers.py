@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 
-from .graphs import Graph, MultiGraph, is_kq_divisible, subtract
+from .graphs import Graph, is_kq_divisible, subtract
 from .gadgets import fake_edge
 
 __all__ = [
@@ -42,9 +42,12 @@ __all__ = [
 
 
 class FixerBlueprint:
-    """Path-power multigraph with a fat clique on the first t vertices."""
+    """Path-power multigraph with a fat clique on the first t vertices.
 
-    __slots__ = ("q", "n", "t", "multigraph")
+    mult maps each pair (u, v), u < v, to its number of parallel copies.
+    """
+
+    __slots__ = ("q", "n", "t", "mult")
 
     def __init__(self, q: int, n: int):
         if q < 3:
@@ -62,24 +65,31 @@ class FixerBlueprint:
         self.q = q
         self.n = n
         self.t = t
-        self.multigraph = MultiGraph(n, mult)
+        self.mult = mult
 
     @property
     def m(self) -> int:
-        return self.multigraph.m
+        return sum(self.mult.values())
 
     def copies(self, u: int, v: int) -> int:
-        return self.multigraph.multiplicity(u, v)
+        return self.mult.get((u, v) if u < v else (v, u), 0)
+
+    def degrees(self) -> list[int]:
+        d = [0] * self.n
+        for (u, v), k in self.mult.items():
+            d[u] += k
+            d[v] += k
+        return d
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.multigraph.mult)
+        return sorted(self.mult)
 
     def gadget_keys(self) -> list[tuple[int, int, int]]:
         """(u, v, c) for every parallel copy c >= 1 of a pair, sorted; on a
         simple host each of these copies is a fake-edge gadget."""
         return [
             (u, v, c)
-            for (u, v), mult in sorted(self.multigraph.mult.items())
+            for (u, v), mult in sorted(self.mult.items())
             for c in range(1, mult)
         ]
 
@@ -123,7 +133,7 @@ def inductive_select(
     n = blueprint.n
     if len(dvec) != n:
         raise ValueError(f"expected {n} degree targets, got {len(dvec)}")
-    mult = blueprint.multigraph.mult
+    mult = blueprint.mult
     dres = [d % (q - 1) for d in dvec]
     counts: dict[tuple[int, int], int] = {}
     for v in range(n - 1, 2, -1):
@@ -264,7 +274,14 @@ def realize_fixer(q: int, n_core: int = 10) -> tuple[Graph, EmbeddedFixer]:
     block past n_core, laid out with stride q-1 so no gadget edge can
     coincide with a path-power edge.  Useful as a substrate for
     application tests (add edges freely, the embedding stays valid).
+    n_core must be at least 2: the first gadget sits on the root pair
+    (0, 1), and its block starts at n_core.
     """
+    if n_core < 2:
+        raise ValueError(
+            f"n_core must be at least 2, got {n_core}: the first gadget's "
+            "block would overlap its roots 0 and 1"
+        )
     gadget = fake_edge(q)
     t = max(3, q - 2)
     n_gadgets = math.comb(t, 2) * (q * (q - 1) - 1)
@@ -292,12 +309,11 @@ def realize_fixer(q: int, n_core: int = 10) -> tuple[Graph, EmbeddedFixer]:
 class ApplyResult:
     """Outcome of applying a fixer: the divisible remainder and the cut."""
 
-    __slots__ = ("graph", "deleted", "counts", "edge_target", "degree_targets")
+    __slots__ = ("graph", "deleted", "edge_target", "degree_targets")
 
-    def __init__(self, graph, deleted, counts, edge_target, degree_targets):
+    def __init__(self, graph, deleted, edge_target, degree_targets):
         self.graph: Graph = graph
         self.deleted: tuple[tuple[int, int], ...] = tuple(deleted)
-        self.counts: dict[tuple[int, int], int] = counts
         self.edge_target: int = edge_target
         self.degree_targets: tuple[int, ...] = tuple(degree_targets)
 
@@ -320,7 +336,7 @@ def apply_fixer(g: Graph, emb: EmbeddedFixer) -> ApplyResult:
     q = bp.q
     m_target = (bp.m - g.m) % math.comb(q, 2)
     host_deg = g.degrees()
-    bp_deg = bp.multigraph.degrees()
+    bp_deg = bp.degrees()
     d_targets = [
         (bp_deg[i] - host_deg[emb.order[i]]) % (q - 1) for i in range(bp.n)
     ]
@@ -335,4 +351,4 @@ def apply_fixer(g: Graph, emb: EmbeddedFixer) -> ApplyResult:
     fixed = subtract(g, deleted)
     if not is_kq_divisible(fixed, q):
         raise AssertionError("fixer application left a non-divisible graph")
-    return ApplyResult(fixed, sorted(deleted), counts, m_target, d_targets)
+    return ApplyResult(fixed, sorted(deleted), m_target, d_targets)

@@ -109,22 +109,14 @@ def anti_edge(q: int) -> Gadget:
 
 
 def fake_edge(q: int) -> Gadget:
-    """Anti-edges on every pair of {roots} u {q-2 hubs} except the root pair.
+    """The nabla-expansion of the anti-edge: anti-edges on every pair of
+    {roots} u {q-2 hubs} except the root pair.
 
     Rooted at vertices 0, 1; hubs are 2..q-1.  Edge, root-degree and
     hub-degree residues are +1, +1, 0, the exact opposite of deleting
     one edge at the roots.
     """
-    if q < 3:
-        raise ValueError(f"q must be at least 3, got {q}")
-    hubs = tuple(range(2, q))
-    fresh = _Fresh(q)
-    edges: list[tuple[int, int]] = []
-    for a, b in _clique_pairs((0, 1) + hubs):
-        if (a, b) == (0, 1):
-            continue
-        edges.extend(_anti_edge_pairs(a, b, fresh.take(q - 2)))
-    return Gadget("fake_edge", q, Graph(fresh.next, edges), (0, 1))
+    return Gadget("fake_edge", q, nabla(q, anti_edge(q).graph), (0, 1))
 
 
 # ===================================================================
@@ -166,7 +158,17 @@ class NablaExpansion:
 
 
 def nabla_expansion(q: int, base: Graph) -> NablaExpansion:
-    fresh = _Fresh(base.n)
+    """Replace every edge of base by an anti-edge on fresh internals.
+
+    Internals are numbered from base.n up, q-2 per base edge in sorted
+    edge order.  Every gadget and absorber layout is built from this.
+    """
+    return _expand(q, base, _Fresh(base.n))
+
+
+def _expand(q: int, base: Graph, fresh: _Fresh) -> NablaExpansion:
+    """nabla_expansion drawing internals from a shared allocator, so
+    several expansions can live on one vertex universe."""
     anti: dict[tuple[int, int], tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []
     for e in base.sorted_edges():
@@ -174,6 +176,18 @@ def nabla_expansion(q: int, base: Graph) -> NablaExpansion:
         anti[e] = ws
         edges.extend(_anti_edge_pairs(e[0], e[1], ws))
     return NablaExpansion(q, base, Graph(fresh.next, edges), anti)
+
+
+def _carry(
+    mapping: dict[int, int], ex: NablaExpansion, target: NablaExpansion
+) -> dict[int, int]:
+    """Extend mapping, defined on the ends of ex's base edges, to ex's
+    internals: each base edge's internals go, in order, to those of its
+    image's anti-edge in target.  Returns mapping."""
+    for (u, v), ws in ex.anti.items():
+        a, b = mapping[u], mapping[v]
+        mapping.update(zip(ws, target.anti[(a, b) if a < b else (b, a)]))
+    return mapping
 
 
 def nabla(q: int, base: Graph) -> Graph:
@@ -352,14 +366,12 @@ class AbsorberBundle:
     """An absorber A for a divisible graph L, with both certificates.
 
     roots = support of L, independent in A.  decomp_a decomposes A and
-    decomp_la decomposes L u A.  structure carries construction
-    internals for analysis (piece vertex sets, bijections); it is not
-    part of the certificate contract.
+    decomp_la decomposes L u A.
     """
 
-    __slots__ = ("kind", "q", "l", "a", "roots", "decomp_a", "decomp_la", "structure")
+    __slots__ = ("kind", "q", "l", "a", "roots", "decomp_a", "decomp_la")
 
-    def __init__(self, kind, q, l, a, roots, decomp_a, decomp_la, structure=None):
+    def __init__(self, kind, q, l, a, roots, decomp_a, decomp_la):
         self.kind = kind
         self.q = q
         self.l = l
@@ -367,7 +379,6 @@ class AbsorberBundle:
         self.roots = roots
         self.decomp_a = decomp_a
         self.decomp_la = decomp_la
-        self.structure = structure or {}
 
     def __repr__(self):
         return (
@@ -429,30 +440,15 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     s2 = ex2.graph
 
     fresh = _Fresh(s2.n)
-    # primed tower: fresh K_q, then two expansions mirroring the unprimed one
+    # primed tower: a fresh K_q expanded twice on the same allocator; the
+    # primed base is a monotone image of the unprimed one, so both towers
+    # allocate internals in the same edge order
     p_base_ids = fresh.take(q)
-    beta0 = dict(zip(range(q), p_base_ids))
     sp0 = Graph(fresh.next, _clique_pairs(p_base_ids))
-
-    def mirrored_expansion(ex, beta):
-        """Expand the primed image of ex.base, extending beta to V(ex.graph)."""
-        anti_p: dict[tuple[int, int], tuple[int, ...]] = {}
-        edges: list[tuple[int, int]] = []
-        beta_next = dict(beta)
-        for e in ex.base.sorted_edges():
-            pu, pv = beta[e[0]], beta[e[1]]
-            ws = fresh.take(q - 2)
-            pe = (pu, pv) if pu < pv else (pv, pu)
-            anti_p[pe] = ws
-            edges.extend(_anti_edge_pairs(pu, pv, ws))
-            for w, pw in zip(ex.anti[e], ws):
-                beta_next[w] = pw
-        return edges, anti_p, beta_next
-
-    sp1_edges, anti_p1, beta1 = mirrored_expansion(ex1, beta0)
-    sp2_edge_list, anti_p2, beta2 = mirrored_expansion(ex2, beta1)
-
-    phi = beta2  # V(S2) -> V(S'_2), a graph isomorphism by construction
+    pex1 = _expand(q, sp0, fresh)
+    pex2 = _expand(q, pex1.graph, fresh)
+    # phi: V(S2) -> V(S'_2), a graph isomorphism by construction
+    phi = _carry(_carry(dict(zip(range(q), p_base_ids)), ex1, pex1), ex2, pex2)
 
     # connectors: one fresh K_{q-2} per edge of S2, joined to both images
     connectors: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -480,7 +476,6 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     a4_edges: list[tuple[int, int]] = []
     cert_unprimed: list[tuple[int, ...]] = []
     cert_primed: list[tuple[int, ...]] = []
-    copies = []
     for v in sorted(groups):
         for group in groups[v]:
             for i in range(q - 2):
@@ -492,20 +487,14 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
                 a4_edges.extend(_relabel_edges(canonical.t.edges, mapping))
                 cert_unprimed.extend(_relabel_packing(canonical.decomp_tl, mapping))
                 cert_primed.extend(_relabel_packing(canonical.decomp_tl_prime, mapping))
-                copies.append(
-                    {"v": v, "phi_v": phi[v], "group": tuple(group),
-                     "index": i, "internals": internals}
-                )
 
     n = fresh.next
     l = Graph(n, s1.edges)
-    sp1 = Graph(n, sp1_edges)
-    sp2 = Graph(n, sp2_edge_list)
     a = union(
         Graph(n, s2.edges),
         Graph(n, sp0.edges),
-        sp1,
-        sp2,
+        Graph(n, pex1.graph.edges),
+        Graph(n, pex2.graph.edges),
         Graph(n, a3_edges),
         Graph(n, a4_edges),
         expect_edge_disjoint=True,
@@ -517,7 +506,7 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     decomp_la = Packing(
         q,
         anti_cliques(ex2.anti)  # covers S1 (= L) and S2
-        + anti_cliques(anti_p1)  # covers S'_0 and S'_1
+        + anti_cliques(pex1.anti)  # covers S'_0 and S'_1
         + [
             tuple(sorted(connectors[e] + (phi[e[0]], phi[e[1]])))
             for e in s2.sorted_edges()
@@ -527,29 +516,16 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     decomp_a = Packing(
         q,
         [tuple(sorted(p_base_ids))]  # S'_0 as one clique
-        + anti_cliques(anti_p2)  # covers S'_1 and S'_2
+        + anti_cliques(pex2.anti)  # covers S'_1 and S'_2
         + [
             tuple(sorted(connectors[e] + e))
             for e in s2.sorted_edges()
         ]  # covers S2, connector internals, unprimed joins
         + cert_primed,  # covers transformer bodies and primed joins
     )
-    structure = {
-        "s1": s1,
-        "s2": Graph(n, s2.edges),
-        "sp0": Graph(n, sp0.edges),
-        "sp1": sp1,
-        "sp2": sp2,
-        "a3": Graph(n, a3_edges),
-        "a4": Graph(n, a4_edges),
-        "phi": phi,
-        "connectors": connectors,
-        "copies": copies,
-        "k": k if q == 3 else None,
-    }
     return _checked_bundle(
         AbsorberBundle(
-            "anti_clique_absorber", q, l, a, _support(l), decomp_a, decomp_la, structure
+            "anti_clique_absorber", q, l, a, _support(l), decomp_a, decomp_la
         )
     )
 
@@ -606,12 +582,7 @@ def nabla_absorber(
     )
 
     def rooted_copy(clique):
-        mapping = dict(zip(range(q), clique))
-        for be, ws in booster_ex.anti.items():
-            te = (mapping[be[0]], mapping[be[1]])
-            te = te if te[0] < te[1] else (te[1], te[0])
-            for w, tw in zip(ws, ex.anti[te]):
-                mapping[w] = tw
+        mapping = _carry(dict(zip(range(q), clique)), booster_ex, ex)
         mapping.update(zip(booster_nonroots, fresh.take(len(booster_nonroots))))
         return mapping
 
@@ -643,7 +614,6 @@ def nabla_absorber(
             _support(l),
             Packing(q, q1_cliques),
             Packing(q, tilde + q2_cliques),
-            {"expansion": ex, "copies": len(q1.cliques) + len(q2.cliques)},
         )
     )
 
@@ -742,18 +712,17 @@ def verify_omni_absorber(
 class OmniAbsorber:
     """Private-absorber union with a per-subgraph decomposition table.
 
-    privates maps each divisible nonempty edge subset to its own piece
-    (absorber graph, outside decomposition, inside decomposition).
+    table maps each divisible edge subset L of X, the empty one first,
+    to a decomposition of L u A.
     """
 
-    __slots__ = ("q", "x", "a", "table", "privates")
+    __slots__ = ("q", "x", "a", "table")
 
-    def __init__(self, q, x, a, table, privates):
+    def __init__(self, q, x, a, table):
         self.q = q
         self.x = x
         self.a = a
         self.table: dict[frozenset, Packing] = table
-        self.privates: dict[frozenset, tuple[Graph, Packing, Packing]] = privates
 
     def __repr__(self):
         return f"OmniAbsorber(q={self.q}, a_edges={self.a.m}, entries={len(self.table)})"
@@ -830,7 +799,9 @@ def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
     if x.m > 6:
         raise ValueError(f"e(X) = {x.m} exceeds the cap of 6")
     xedges = x.sorted_edges()
-    privates: list[tuple[frozenset, Graph, Packing, Packing]] = []
+    # each private absorber's fresh vertices go past those already placed
+    n = x.n
+    placed: list[tuple[frozenset, Graph, Packing, Packing]] = []
     for bits in range(1, 1 << x.m):
         subset = tuple(xedges[i] for i in range(x.m) if bits >> i & 1)
         lg = Graph(x.n, subset)
@@ -843,41 +814,27 @@ def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
                 f"no private absorber for a divisible subgraph with "
                 f"{len(subset)} edges within {OMNI_MAX_FRESH} fresh vertices"
             )
-        privates.append((frozenset(subset), *found))
-
-    # relabel fresh vertices of each private absorber into one universe
-    n = x.n
-    placed: list[tuple[frozenset, Graph, Packing, Packing]] = []
-    for key, ag, d1, d2 in privates:
-        shift = n - x.n
-        mapping = {
-            v: (v if v < x.n else v + shift) for v in range(ag.n)
-        }
-        n = x.n + shift + (ag.n - x.n)
+        ag, d1, d2 = found
+        mapping = {v: (v if v < x.n else v + n - x.n) for v in range(ag.n)}
+        n += ag.n - x.n
         placed.append(
             (
-                key,
+                frozenset(subset),
                 Graph(n, _relabel_edges(ag.edges, mapping)),
                 Packing(q, _relabel_packing(d1, mapping)),
                 Packing(q, _relabel_packing(d2, mapping)),
             )
         )
     a_total = Graph(n, [e for _, ag, _, _ in placed for e in ag.edges])
+    # L u A decomposes as L's own piece by its certificate of L u A_L and
+    # every other piece by its certificate of A_L alone
     table: dict[frozenset, Packing] = {}
-    keys = [key for key, _, _, _ in placed]
-    for bits in range(1 << x.m):
-        subset = frozenset(
-            xedges[i] for i in range(x.m) if bits >> i & 1
-        )
-        lg = Graph(x.n, subset)
-        if not is_kq_divisible(lg, q):
-            continue
+    for subset in [frozenset()] + [key for key, _, _, _ in placed]:
         cliques: list[tuple[int, ...]] = []
-        for key, ag, d1, d2 in placed:
+        for key, _, d1, d2 in placed:
             cliques.extend(d2.cliques if key == subset else d1.cliques)
         table[subset] = Packing(q, cliques)
-    pieces = {key: (ag, d1, d2) for key, ag, d1, d2 in placed}
-    return OmniAbsorber(q, x, a_total, table, pieces)
+    return OmniAbsorber(q, x, a_total, table)
 
 
 # ===================================================================

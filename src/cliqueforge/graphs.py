@@ -2,10 +2,9 @@
 
 Simple graphs live on a dense vertex range 0..n-1 with edges stored as
 sorted pairs; isolated vertices are first-class (fixers must span their
-host).  A multigraph variant carries per-pair multiplicities for the
-divisibility fixer blueprints.  The optimal leave number implemented here
-is the universal lower bound on the leave of any K_q packing: the least
-k with k = e(G) mod binom(q,2) and 2k >= sum_v (d(v) mod (q-1)).
+host).  The optimal leave number implemented here is the universal
+lower bound on the leave of any K_q packing: the least k with
+k = e(G) mod binom(q,2) and 2k >= sum_v (d(v) mod (q-1)).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Graph",
-    "MultiGraph",
     "Packing",
     "PackingReport",
     "DegreeResidueProfile",
@@ -31,8 +29,6 @@ __all__ = [
     "leave_lower_bound_check",
     "parse_graph",
     "serialize_graph",
-    "parse_multigraph",
-    "serialize_multigraph",
     "parse_packing",
     "serialize_packing",
 ]
@@ -134,54 +130,6 @@ def relabel(g: Graph, mapping: dict[int, int], n: int) -> Graph:
 
 
 # ===================================================================
-# MultiGraph
-# ===================================================================
-
-
-class MultiGraph:
-    """Loopless multigraph: per-pair multiplicities, zero entries omitted."""
-
-    __slots__ = ("n", "mult")
-
-    def __init__(self, n: int, mult: dict[tuple[int, int], int] | None = None):
-        self.n = n
-        self.mult: dict[tuple[int, int], int] = {}
-        for (u, v), k in (mult or {}).items():
-            if k < 0:
-                raise ValueError(f"negative multiplicity at {(u, v)}")
-            if k == 0:
-                continue
-            e = edge_key(u, v)
-            if e[1] >= n:
-                raise ValueError(f"edge {e} out of range for n={n}")
-            self.mult[e] = self.mult.get(e, 0) + k
-
-    @property
-    def m(self) -> int:
-        return sum(self.mult.values())
-
-    def multiplicity(self, u, v) -> int:
-        return self.mult.get(edge_key(u, v), 0)
-
-    def degree(self, v: int) -> int:
-        return sum(k for (a, b), k in self.mult.items() if v in (a, b))
-
-    def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for (u, v), k in self.mult.items():
-            d[u] += k
-            d[v] += k
-        return d
-
-    def to_graph(self) -> Graph:
-        """Forget multiplicities (every fat pair becomes one edge)."""
-        return Graph(self.n, self.mult.keys())
-
-    def __repr__(self):
-        return f"MultiGraph(n={self.n}, m={self.m})"
-
-
-# ===================================================================
 # Divisibility
 # ===================================================================
 
@@ -212,7 +160,7 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q must be at least 3, got {q}")
 
 
-def degree_residue_profile(g: Graph | MultiGraph, q: int) -> DegreeResidueProfile:
+def degree_residue_profile(g: Graph, q: int) -> DegreeResidueProfile:
     _check_q(q)
     return DegreeResidueProfile(
         q,
@@ -221,12 +169,12 @@ def degree_residue_profile(g: Graph | MultiGraph, q: int) -> DegreeResidueProfil
     )
 
 
-def is_kq_divisible(g: Graph | MultiGraph, q: int) -> bool:
+def is_kq_divisible(g: Graph, q: int) -> bool:
     """binom(q,2) divides e(G) and (q-1) divides every degree."""
     return degree_residue_profile(g, q).is_zero()
 
 
-def optimal_leave_number(g: Graph | MultiGraph, q: int) -> int:
+def optimal_leave_number(g: Graph, q: int) -> int:
     """Least k = e(G) mod binom(q,2) with 2k >= sum of degree residues.
 
     Every K_q packing of G leaves at least this many edges uncovered:
@@ -347,8 +295,6 @@ def leave_lower_bound_check(g: Graph, p: Packing) -> bool:
 # Text formats
 # ===================================================================
 # Graphs: header "n m", then m lines "u v".  Output is lexicographic.
-# Multigraphs: header "n m k" (m = edge count with multiplicity, k =
-# distinct pairs), then k lines "u v mult".
 # Packings: header "q k", then k lines of q vertex ids.
 
 
@@ -399,41 +345,6 @@ def parse_graph(text: str) -> Graph:
 def serialize_graph(g: Graph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(out) + "\n"
-
-
-def parse_multigraph(text: str) -> MultiGraph:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ValueError("line 1: empty multigraph file, expected 'n m k' header")
-    lineno, header = lines[0]
-    n, m, k = _parse_ints(header, lineno, 3, "multigraph header")
-    if len(lines) - 1 != k:
-        raise ValueError(
-            f"line {lineno}: header promises {k} pairs, file has {len(lines) - 1}"
-        )
-    mult: dict[tuple[int, int], int] = {}
-    for lineno, line in lines[1:]:
-        u, v, c = _parse_ints(line, lineno, 3, "weighted edge")
-        if u == v:
-            raise ValueError(f"line {lineno}: loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        if c <= 0:
-            raise ValueError(f"line {lineno}: multiplicity must be positive, got {c}")
-        e = edge_key(u, v)
-        if e in mult:
-            raise ValueError(f"line {lineno}: pair {e} listed twice")
-        mult[e] = c
-    mg = MultiGraph(n, mult)
-    if mg.m != m:
-        raise ValueError(f"header promises {m} edges with multiplicity, found {mg.m}")
-    return mg
-
-
-def serialize_multigraph(mg: MultiGraph) -> str:
-    out = [f"{mg.n} {mg.m} {len(mg.mult)}"]
-    out.extend(f"{u} {v} {c}" for (u, v), c in sorted(mg.mult.items()))
     return "\n".join(out) + "\n"
 
 

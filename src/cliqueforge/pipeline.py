@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
-from .gadgets import fake_edge
+from .gadgets import anti_edge, nabla_expansion
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
 from .randgraphs import gnd, gnp, slice_graph, stream
 from .solver import CliqueIndex, min_leave_packing
@@ -434,7 +434,10 @@ def embed_fixer(
         raise EmbedFailure(f"host has {g.n} vertices, the fat zone needs {t}")
     blueprint = FixerBlueprint(q, g.n)
     keys = blueprint.gadget_keys()
-    need = len(keys) * fake_edge(q).graph.m
+    # the fake edge is the nabla-expansion of the anti-edge; its anti
+    # items, in order, are the layout every gadget is placed by
+    gadget = nabla_expansion(q, anti_edge(q).graph)
+    need = len(keys) * gadget.graph.m
     if gadget_pool.m < need:
         raise EmbedFailure(
             f"gadget pool has {gadget_pool.m} edges, {len(keys)} gadgets need {need}"
@@ -489,35 +492,23 @@ def embed_fixer(
                 w = hub_pool[rng.randrange(len(hub_pool))]
                 if w not in hubs:
                     hubs.append(w)
-            for h, w in zip(range(2, q), hubs):
-                mp[h] = w
-            taken_edges: list[tuple[int, int]] = []
-            ok = True
-            nxt = q
+            mp.update(zip(range(2, q), hubs))
             banned = set(mp.values())
-            for a in range(q):
-                for b in range(a + 1, q):
-                    if (a, b) == (0, 1):
-                        continue
-                    ws = internals_for(mp[a], mp[b], q - 2, banned)
-                    if ws is None:
-                        ok = False
-                        break
-                    for w in ws:
-                        mp[nxt] = w
-                        banned.add(w)
-                        nxt += 1
-                    for w in ws:
-                        for x in (mp[a], mp[b]):
-                            taken_edges.append((x, w))
-                            take(x, w)
-                    for i, w1 in enumerate(ws):
-                        for w2 in ws[i + 1 :]:
-                            taken_edges.append((w1, w2))
-                            take(w1, w2)
-                if not ok:
+            taken_edges: list[tuple[int, int]] = []
+            # one host anti-edge per gadget pair: common pool neighbours of
+            # the pair's images become its internals, and every pair of its
+            # vertices but the first (the gadget pair itself) is taken
+            for (a, b), ws in gadget.anti.items():
+                hs = internals_for(mp[a], mp[b], q - 2, banned)
+                if hs is None:
                     break
-            if ok:
+                mp.update(zip(ws, hs))
+                banned.update(hs)
+                ends = (mp[a], mp[b], *hs)
+                for x, y in itertools.islice(itertools.combinations(ends, 2), 1, None):
+                    taken_edges.append((x, y))
+                    take(x, y)
+            else:
                 placed = mp
                 break
             for x, y in taken_edges:
@@ -868,6 +859,8 @@ def bench(
     """
     if kind not in ("gnp", "gnd"):
         raise ValueError(f"kind must be gnp or gnd, got {kind!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     seeds = [stream(master_seed, "trial", i).getrandbits(63) for i in range(trials)]
 
     def run(s):

@@ -276,6 +276,15 @@ def test_fixer_build_writes_host_and_embedding(tmp_path, capsys):
     assert (tmp_path / "host.txt.json").read_text() == emb.to_json()
 
 
+@pytest.mark.parametrize("n_core", ["0", "1"])
+def test_fixer_build_refuses_a_core_below_two(tmp_path, capsys, n_core):
+    out = tmp_path / "host.txt"
+    rc, _, stderr = run(["fixer", "build", "--q", "3", "--n-core", n_core, "-o", str(out)], capsys)
+    assert rc == 1
+    assert "n_core must be at least 2" in stderr
+    assert not out.exists()
+
+
 def test_fixer_build_without_output_is_a_usage_error(capsys):
     usage_error(["fixer", "build", "--q", "3"], capsys)
 
@@ -512,6 +521,14 @@ def test_bench_json_is_thread_count_invariant(tmp_path, capsys):
     assert blobs[0] == blobs[1]
     doc, _ = bench("gnp", 20, 3, 2, 11, threads=1, p=Fraction(2, 5), d=None)
     assert json.loads(blobs[0]) == doc
+
+
+def test_bench_refuses_a_negative_trial_count(capsys):
+    argv = ["bench", "--kind", "gnp", "--n", "10", "--q", "3", "--trials", "-2", "--p", "1/2", "--seed", "1"]
+    rc, stdout, stderr = run(argv, capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert "trials must be nonnegative" in stderr
 
 
 def test_bench_gnp_without_p_is_a_usage_error(capsys):

@@ -54,6 +54,13 @@ def test_blueprint_multiplicities(q, n):
     for v in range(max(3, q - 2), n):
         back = sum(1 for u in range(v) if bp.copies(u, v))
         assert back >= min(q - 2, v)
+    # copies, degrees and m all count parallel copies, in either pair order
+    pairs = list(itertools.combinations(range(n), 2))
+    assert all(bp.copies(i, j) == bp.copies(j, i) for i, j in pairs)
+    assert bp.m == sum(bp.copies(i, j) for i, j in pairs)
+    assert bp.degrees() == [
+        sum(bp.copies(v, u) for u in range(n) if u != v) for v in range(n)
+    ]
 
 
 def test_blueprint_rejects_tiny():
@@ -148,6 +155,14 @@ def test_realized_fixer_validates_and_applies(q):
     assert is_kq_divisible(res.graph, q)
     assert len(res.deleted) <= host.m
     assert set(res.deleted) <= host.edges
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("n_core", [0, 1])
+def test_realize_fixer_refuses_a_core_below_two(q, n_core):
+    # the first gadget's block would start on its own roots 0 and 1
+    with pytest.raises(ValueError, match="n_core must be at least 2"):
+        realize_fixer(q, n_core)
 
 
 @pytest.mark.parametrize("q", [3, 4])

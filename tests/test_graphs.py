@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cliqueforge.graphs import (
     Graph,
-    MultiGraph,
     Packing,
     degree_residue_profile,
     edge_key,
@@ -16,11 +15,9 @@ from cliqueforge.graphs import (
     leave_lower_bound_check,
     optimal_leave_number,
     parse_graph,
-    parse_multigraph,
     parse_packing,
     relabel,
     serialize_graph,
-    serialize_multigraph,
     serialize_packing,
     subtract,
     union,
@@ -75,14 +72,6 @@ def test_union_subtract_relabel():
     assert r.edges == {(0, 3)}
     with pytest.raises(ValueError):
         relabel(a, {0: 1, 1: 1, 2: 2}, 3)
-
-
-def test_multigraph_arithmetic():
-    mg = MultiGraph(3, {(0, 1): 2, (1, 2): 1})
-    assert mg.m == 3
-    assert mg.degrees() == [2, 3, 1]
-    assert mg.multiplicity(1, 0) == 2
-    assert mg.to_graph().edges == {(0, 1), (1, 2)}
 
 
 # ===================================================================
@@ -225,12 +214,6 @@ def test_graph_format_layout():
 def test_parse_graph_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_graph(text)
-
-
-def test_multigraph_round_trip():
-    mg = MultiGraph(4, {(0, 1): 3, (2, 3): 1})
-    back = parse_multigraph(serialize_multigraph(mg))
-    assert back.mult == mg.mult and back.n == mg.n
 
 
 @given(

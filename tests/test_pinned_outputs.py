@@ -10,7 +10,10 @@ search that runs out of its node budget.  A third digest covers fractional weigh
 serialized with their range diagnostics: unit-target decompositions of
 G(n, 9/10) (refusals included), a boost with non-uniform targets, a
 two-layer boost and a q=4 boost.  A fourth pins the exact cover of the
-anti_clique_absorber(4) host, 1,186 cliques deep.  Any change to a visit order or a
+anti_clique_absorber(4) host, 1,186 cliques deep.  A fifth pins the
+gadget layouts (fake edges, the anti-clique, nabla and omni absorbers
+with their certificates in order) and two fixer embeddings with the
+random state each leaves behind.  Any change to a visit order or a
 random draw shows up here, so a refactor that promises identical
 outputs is held to it.
 """
@@ -26,10 +29,15 @@ from cliqueforge.fractional import (
     serialize_weighting,
     two_layer_boost,
 )
-from cliqueforge.gadgets import anti_clique_absorber
-from cliqueforge.graphs import union
-from cliqueforge.pipeline import pack_gnd, pack_gnp
-from cliqueforge.randgraphs import gnp
+from cliqueforge.gadgets import (
+    anti_clique_absorber,
+    fake_edge,
+    nabla_absorber,
+    naive_omni_absorber,
+)
+from cliqueforge.graphs import Graph, union
+from cliqueforge.pipeline import GADGET_FRAC, embed_fixer, pack_gnd, pack_gnp
+from cliqueforge.randgraphs import gnp, slice_graph, stream
 from cliqueforge.solver import (
     SolveBudget,
     enumerate_cliques,
@@ -37,7 +45,7 @@ from cliqueforge.solver import (
     min_leave_packing,
 )
 
-from oracles import complete_graph
+from oracles import complete_graph, cycle_graph
 
 PINNED = "4c4b3a9a5478ff6a7c0703f09d899c9506e75dd69b8c9a21ef37e80bea3a6cfb"
 PINNED_AT_SCALE = "56dd2faeb02f0ff3c81b0a167df22507a1b939c6aa280bf7f5858d57c1c38c1d"
@@ -45,6 +53,7 @@ PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b
 # the cliques of the anti_clique_absorber(4) host's decomposition, in
 # the order the search took them
 PINNED_COVER = "b8e9da1c5d7fe15e352c8cfbd61810b05404dbc5857d0b17312c0c47e6b39459"
+PINNED_GADGETS = "0a7ce6a9fd8b62163b6d2408aec47b5467277f452cb0713152d08b436e62d684"
 
 
 def _pack_doc(rep):
@@ -111,6 +120,50 @@ def _fractional_outputs():
     return docs
 
 
+def _bundle_doc(b):
+    return [
+        b.l.n,
+        b.l.sorted_edges(),
+        b.a.n,
+        b.a.sorted_edges(),
+        list(b.roots),
+        list(b.decomp_a.cliques),
+        list(b.decomp_la.cliques),
+    ]
+
+
+def _embedding_doc(g, q, rng, pool):
+    emb = embed_fixer(g, q, rng, pool)
+    return [emb.to_json(), rng.getstate()]
+
+
+def _gadget_outputs():
+    docs = []
+    for q in range(3, 7):
+        g = fake_edge(q).graph
+        docs.append([g.n, g.sorted_edges()])
+    for q, k in ((3, 2), (3, 4), (4, 2)):
+        docs.append(_bundle_doc(anti_clique_absorber(q, k)))
+    booster = anti_clique_absorber(3)
+    docs.append(_bundle_doc(nabla_absorber(booster.l, booster, base=booster)))
+    docs.append(_bundle_doc(nabla_absorber(complete_graph(3), booster)))
+    omni = naive_omni_absorber(cycle_graph(6))
+    docs.append([
+        omni.a.n,
+        omni.a.sorted_edges(),
+        [[sorted(key), list(p.cliques)] for key, p in omni.table.items()],
+    ])
+    # the pool sliced as the pipeline slices it for pack_gnp(160, 3/10, 3, 2000)
+    seed = 2000
+    g = gnp(160, Fraction(3, 10), seed)
+    pool, _ = slice_graph(g, GADGET_FRAC, 1, seed ^ 0x67616467)
+    docs.append(_embedding_doc(g, 3, stream(seed, "embed"), pool))
+    g = complete_graph(130)
+    pool = Graph(g.n, {(u, v) for u, v in g.edges if v - u > 2})
+    docs.append(_embedding_doc(g, 4, stream(0, "embed"), pool))
+    return docs
+
+
 def _digest(docs):
     return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
@@ -148,3 +201,9 @@ def test_absorber_host_cover_matches_the_pinned_digest():
     res = exact_decomposition(union(b.l, b.a), 4)
     assert (res.status, res.nodes) == ("found", 1186)
     assert _digest(list(res.packing.cliques)) == PINNED_COVER
+
+
+def test_gadget_layouts_match_the_pinned_digest():
+    """Every anti-edge layout: the gadgets, the absorbers with their
+    certificates in order, and where the fixer placed its gadgets."""
+    assert _digest(_gadget_outputs()) == PINNED_GADGETS
