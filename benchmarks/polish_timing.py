@@ -5,8 +5,10 @@ Usage:
 
 Runs pack_gnp at n = 160 (seeds 2000-2004) and n = 300 (seeds 7-9),
 each call REPEATS = 3 times, with the package imported from DIR
-(default: this checkout's src/).  _polish and _augment_pass are timed
-by rebinding the module attributes they are called through; in trees
+(default: this checkout's src/).  _polish, _augment_pass,
+design_hypergraph (the clique index build, index_ms) and
+random_greedy_matching (the greedy nibble, greedy_ms) are timed by
+rebinding the module attributes they are called through; in trees
 with the switch walk, _augment_pass is the walk and runs once per pack,
 in older trees it is one augmenting-exchange pass of several.  The run
 is stored under LABEL in benchmarks/BENCH_polish.json, next to the runs
@@ -56,9 +58,13 @@ def timed(module, name, log):
 def _one_call(pipeline, n, seed):
     polish_ms: list[float] = []
     augment_ms: list[float] = []
+    index_ms: list[float] = []
+    greedy_ms: list[float] = []
     orig = [
         ("_polish", timed(pipeline, "_polish", polish_ms)),
         ("_augment_pass", timed(pipeline, "_augment_pass", augment_ms)),
+        ("design_hypergraph", timed(pipeline, "design_hypergraph", index_ms)),
+        ("random_greedy_matching", timed(pipeline, "random_greedy_matching", greedy_ms)),
     ]
     try:
         t = time.perf_counter()
@@ -69,7 +75,7 @@ def _one_call(pipeline, n, seed):
             setattr(pipeline, name, f)
     doc = [rep.to_json(include_ms=False), sorted(rep.packing.cliques)]
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    return total_ms, sum(polish_ms), augment_ms, digest
+    return total_ms, sum(polish_ms), augment_ms, digest, sum(index_ms), sum(greedy_ms)
 
 
 def median(xs):
@@ -120,6 +126,8 @@ def run() -> dict:
                 "augment_pass_ms": [
                     median(ms) for ms in zip(*(s[2] for s in samples))
                 ],
+                "index_ms": median([s[4] for s in samples]),
+                "greedy_ms": median([s[5] for s in samples]),
                 "sha256": digests.pop(),
             })
         cases[str(n)] = {

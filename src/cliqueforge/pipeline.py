@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
 from .gadgets import anti_edge, nabla_expansion
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
-from .randgraphs import gnd, gnp, slice_graph, stream
+from .randgraphs import _below, gnd, gnp, slice_graph, stream
 from .solver import CliqueIndex, min_leave_packing
 
 __all__ = [
@@ -77,11 +78,15 @@ def reserve_hypergraph(index: CliqueIndex, zone, edges) -> dict[int, list[int]]:
 
     zone holds a byte per edge id of index: 1 for A, 2 for B, 0 for
     neither.  Ascending ids are lexicographic order: for q = 3, the
-    cliques on e come by ascending apex.
+    cliques on e come by ascending apex.  A zone byte is at most 2, so
+    the other binom(q, 2) - 1 edges of t all lie in B exactly when
+    their bytes sum to 2 (binom(q, 2) - 1), which is one C-level sum
+    over t's edges less zone[e].
     """
-    hedges, through = index.hedges, index.through
+    hedges, through, byte = index.hedges, index.through, zone.__getitem__
+    full = 2 * (index.q * (index.q - 1) // 2 - 1)
     return {
-        e: [t for t in through[e] if all(zone[x] == 2 for x in hedges[t] if x != e)]
+        e: [t for t in through[e] if sum(map(byte, hedges[t])) - zone[e] == full]
         for e in edges
     }
 
@@ -92,7 +97,8 @@ def random_greedy_matching(index: CliqueIndex, rng, fence):
     Draws cliques uniformly from the remaining pool, which starts as the
     cliques with no fenced edge in id order (conflicted ones are
     discarded as drawn; they can never become valid again), so each
-    accepted draw is uniform over the currently valid cliques.
+    accepted draw is uniform over the currently valid cliques.  A draw
+    is rng.randrange(len(pool)), taken through randgraphs._below.
     Returns the chosen clique ids and the set of covered edge ids.
     """
     live = bytearray([1]) * len(index.hedges)
@@ -102,12 +108,14 @@ def random_greedy_matching(index: CliqueIndex, rng, fence):
     pool = list(itertools.compress(range(len(live)), live))
     used: set[int] = set()
     chosen: list[int] = []
+    hedges = index.hedges
+    below = _below(rng)
     while pool:
-        i = rng.randrange(len(pool))
+        i = below(len(pool))
         idx = pool[i]
         pool[i] = pool[-1]
         pool.pop()
-        hedge = index.hedges[idx]
+        hedge = hedges[idx]
         if not used.isdisjoint(hedge):
             continue
         chosen.append(idx)
@@ -129,20 +137,28 @@ def _fill_pass(h: CliqueIndex, owner: list[int]) -> int:
 
     Cliques are in lexicographic order, so grouping them by their first
     (least) edge id and visiting the leave edges in id order visits
-    every candidate in id order.
+    every candidate in id order.  An owner is LEAVE = -1 or a clique id
+    >= 0, so a clique's edges are all leave exactly when their owners
+    sum to -len(hedge).
     """
-    hedges, through = h.hedges, h.through
+    hedges, through, own = h.hedges, h.through, owner.__getitem__
     gain = 0
     for e, o in enumerate(owner):
         if o != LEAVE:
             continue
         for t in through[e]:
             hedge = hedges[t]
-            if hedge[0] == e and all(owner[x] == LEAVE for x in hedge):
+            if hedge[0] == e and sum(map(own, hedge)) == -len(hedge):
                 for x in hedge:
                     owner[x] = t
                 gain += len(hedge)
     return gain
+
+
+def _triangle(cliques, v: int, u: int, w: int) -> int:
+    """Id of the triangle on v, u and w (u < w) in the lexicographic
+    cliques of a q = 3 index, which must hold it."""
+    return bisect_left(cliques, (v, u, w) if v < u else (u, v, w) if v < w else (u, w, v))
 
 
 def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
@@ -157,12 +173,21 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
     leave keeps moving.  Mutates owner; returns the number of edges
     gained.
 
+    Every draw is the one rng.choice / rng.randrange would make, taken
+    through randgraphs._below.  At q = 3 the triangle uvw is found by
+    _triangle's bisect on the lexicographic cliques, with no draw; at
+    q >= 4 the cliques on u, v and w are those of through[vu] that hold
+    vw.
+
     nbrs[v] lists the leave edge ids at v; slot[2e] and slot[2e + 1]
-    are the places of e in the lists of its lower and upper end.  hot
-    lists the vertices of leave degree >= 2, spot[v] the place of v in
-    it; both lists change by append and swap-remove.
+    are the places of e in the lists of its lower and upper end, and
+    ends[e] is the sum of its two ends, so its far end from v is
+    ends[e] - v.  hot lists the vertices of leave degree >= 2, spot[v]
+    the place of v in it; both lists change by append and swap-remove.
     """
     edges, hedges, through, ids = h.edges, h.hedges, h.through, h.edge_ids
+    cliques, triangles = h.cliques, h.q == 3
+    ends = [a + b for a, b in edges]
     n = 1 + max((b for _, b in edges), default=-1)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     slot = [0] * (2 * len(edges))
@@ -196,28 +221,31 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
             a, b = edges[e]
             put(a, 2 * e, e)
             put(b, 2 * e + 1, e)
-    rand, choice = rng.randrange, rng.choice
+    below = _below(rng)
     gain = 0
     for _ in range(steps):
         if not hot:
             break
-        v = choice(hot)
+        v = hot[below(len(hot))]
         at = nbrs[v]
         k = len(at)
-        i, j = divmod(rand(k * (k - 1)), k - 1)
+        i, j = divmod(below(k * (k - 1)), k - 1)
         if j >= i:
             j += 1
         e1, e2 = at[i], at[j]
-        a, b = edges[e1]
-        u = a + b - v
-        a, b = edges[e2]
-        w = a + b - v
-        if ((u, w) if u < w else (w, u)) not in ids:
+        u = ends[e1] - v
+        w = ends[e2] - v
+        if u > w:
+            u, w = w, u
+        if (u, w) not in ids:
             continue
-        ts = [t for t in through[e1] if e2 in hedges[t]]
-        if not ts:
-            continue
-        t = ts[0] if len(ts) == 1 else ts[rand(len(ts))]
+        if triangles:
+            t = _triangle(cliques, v, u, w)
+        else:
+            ts = [t for t in through[e1] if e2 in hedges[t]]
+            if not ts:
+                continue
+            t = ts[0] if len(ts) == 1 else ts[below(len(ts))]
         hedge = hedges[t]
         drop = LEAVE
         for x in hedge:
@@ -861,6 +889,8 @@ def bench(
         raise ValueError(f"kind must be gnp or gnd, got {kind!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     seeds = [stream(master_seed, "trial", i).getrandbits(63) for i in range(trials)]
 
     def run(s):
@@ -868,7 +898,7 @@ def bench(
             return pack_gnp(n, p, q, s)
         return pack_gnd(n, d, q, s)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         reports = list(pool.map(run, seeds))
 
     leaves = [r.leave for r in reports]

@@ -29,6 +29,28 @@ def stream(master: int, tag: str, index: int = 0) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def _below(rng: random.Random):
+    """The draw m -> rng.randrange(m), for m >= 1, without its checks.
+
+    It reads the same getrandbits(m.bit_length()) words as CPython's
+    randrange(m) and choice(seq) with m = len(seq), rejecting those
+    >= m, so it returns the same values and leaves rng in the same
+    state; hot loops call it in their place.  m < 1 raises ValueError.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            if m < 1:
+                raise ValueError(f"empty range for a draw below {m}")
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def _threshold(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 

@@ -12,6 +12,7 @@ the still-undecided subgraph (a valid lower bound on any completion).
 from __future__ import annotations
 
 from itertools import combinations
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
 from .graphs import (
@@ -95,6 +96,11 @@ class CliqueIndex:
     holds the edge ids of clique t in pair order (c0c1, c0c2, ...), and
     through[e] the ids of the cliques on edge e, ascending.  Loops over
     ids therefore visit edges and cliques in their key order.
+
+    The hedges are built a pair column at a time, with no tuple key
+    hashed: up[a][b] is the id of edge ab for a < b, the column of pair
+    (i, j) is up[c[i]][c[j]] over the cliques c, taken by C-level maps,
+    and zip turns the pair columns into the hedges.
     """
 
     __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "through")
@@ -102,11 +108,17 @@ class CliqueIndex:
     def __init__(self, g: Graph, q: int):
         self.q = q
         self.edges: tuple[tuple[int, int], ...] = tuple(g.sorted_edges())
-        self.edge_ids = ids = {e: i for i, e in enumerate(self.edges)}
+        self.edge_ids = {e: i for i, e in enumerate(self.edges)}
         self.cliques: tuple[tuple[int, ...], ...] = tuple(enumerate_cliques(g, q))
-        self.hedges: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(ids.__getitem__, combinations(c, 2))) for c in self.cliques
-        )
+        up: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for e, (a, b) in enumerate(self.edges):
+            up[a][b] = e
+        cliques, row = self.cliques, up.__getitem__
+        columns = [
+            map(getitem, map(row, map(itemgetter(i), cliques)), map(itemgetter(j), cliques))
+            for i, j in combinations(range(q), 2)
+        ]
+        self.hedges: tuple[tuple[int, ...], ...] = tuple(zip(*columns))
         self.through: list[list[int]] = [[] for _ in self.edges]
         for t, hedge in enumerate(self.hedges):
             for e in hedge:

@@ -531,6 +531,16 @@ def test_bench_refuses_a_negative_trial_count(capsys):
     assert "trials must be nonnegative" in stderr
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bench_refuses_fewer_than_one_thread(capsys, threads):
+    argv = ["bench", "--kind", "gnp", "--n", "10", "--q", "3", "--trials", "2", "--p", "1/2",
+            "--seed", "1", "--threads", threads]
+    rc, stdout, stderr = run(argv, capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert "threads must be positive" in stderr
+
+
 def test_bench_gnp_without_p_is_a_usage_error(capsys):
     usage_error(["bench", "--kind", "gnp", "--n", "10", "--q", "3", "--trials", "1", "--seed", "1"], capsys)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliqueforge import pipeline, solver
@@ -25,6 +25,7 @@ from cliqueforge.pipeline import (
     EmbedFailure,
     _fat_prefixes,
     _polish,
+    _triangle,
     bench,
     design_hypergraph,
     embed_fixer,
@@ -37,9 +38,11 @@ from cliqueforge.pipeline import (
 )
 from cliqueforge.randgraphs import gnp, slice_graph, stream
 
+from conftest import graphs
 from oracles import (
     complete_graph,
     max_codegree,
+    reference_cliques_on,
     reference_fat_prefixes,
 )
 
@@ -248,6 +251,23 @@ def test_polish_walk_keeps_a_packing(instance, seed):
         covered.append(len(u))
     # a longer walk repeats a shorter one's steps, so coverage never falls
     assert covered == sorted(covered)
+
+
+@given(graphs(11))
+@example(complete_graph(9))
+@settings(max_examples=120, deadline=None)
+def test_walk_triangle_lookup_finds_the_one_scanned_clique(g):
+    """For every pair of edges vu, vw with uw an edge, the walk's bisect
+    finds the one triangle a scan of the cliques on vu finds."""
+    h = design_hypergraph(g, 3)
+    adj = g.adjacency()
+    for v in range(g.n):
+        for u, w in combinations(sorted(adj[v]), 2):
+            if w in adj[u]:
+                e1 = h.edge_ids[min(u, v), max(u, v)]
+                e2 = h.edge_ids[min(v, w), max(v, w)]
+                scanned = reference_cliques_on(h.through, h.hedges, e1, e2)
+                assert [_triangle(h.cliques, v, u, w)] == scanned
 
 
 def test_matching_with_reserves_completes_the_star_instance():
@@ -554,3 +574,9 @@ def test_bench_document_shape():
     assert agg["all_valid"] == all(r.valid for r in reports)
     with pytest.raises(ValueError):
         bench("other", 10, 3, trials=1, master_seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_bench_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be positive"):
+        bench("gnp", 10, 3, trials=1, master_seed=0, threads=threads, p=Fraction(1, 2))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforge.graphs import union
-from cliqueforge.randgraphs import bernoulli, gnd, gnp, slice_graph, stream
+from cliqueforge.randgraphs import _below, bernoulli, gnd, gnp, slice_graph, stream
 
 
 # ===================================================================
@@ -26,6 +26,43 @@ def test_stream_separates_tags_and_indices():
     assert base != stream(7, "y", 0).getrandbits(64)
     assert base != stream(7, "x", 1).getrandbits(64)
     assert base != stream(8, "x", 0).getrandbits(64)
+
+
+BOUNDS = sorted(
+    {1, 3, 10**6, 3**45, 2**64 + 1, 2**100 - 1}
+    | {2**k + d for k in (1, 2, 3, 5, 8, 16, 31, 32, 53, 63, 64, 65, 100) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("m", BOUNDS)
+def test_below_draws_as_randrange_and_choice(m):
+    """_below(rng)(m) returns rng.randrange(m) and leaves the generator
+    in the same state, so later draws do not move either."""
+    ours, theirs = stream(5, "below", m % 97), stream(5, "below", m % 97)
+    below = _below(ours)
+    assert [below(m) for _ in range(64)] == [theirs.randrange(m) for _ in range(64)]
+    assert ours.getstate() == theirs.getstate()
+    if m <= 10**6:
+        seq = range(m)
+        assert [seq[below(len(seq))] for _ in range(64)] == [
+            theirs.choice(seq) for _ in range(64)
+        ]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_below_interleaves_with_randrange_on_one_generator():
+    ours, theirs = stream(6, "below"), stream(6, "below")
+    below = _below(ours)
+    bounds = [7, 2**64 + 3, 1, 12, 5, 2**33, 3]
+    got = [below(m) if i % 2 else ours.randrange(m) for i, m in enumerate(bounds * 9)]
+    assert got == [theirs.randrange(m) for m in bounds * 9]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("m", [0, -1, -8])
+def test_below_refuses_an_empty_range(m):
+    with pytest.raises(ValueError):
+        _below(stream(1, "below"))(m)
 
 
 def test_bernoulli_degenerate_probabilities():

@@ -33,6 +33,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     reference_exact_cover,
+    reference_hedges,
 )
 
 
@@ -74,6 +75,13 @@ def test_clique_index_edge_lookup():
     # through[e] lists every clique on e, ascending
     for e, ts in enumerate(index.through):
         assert ts == [t for t, hedge in enumerate(index.hedges) if e in hedge]
+
+
+@given(graphs(8), st.sampled_from([2, 3, 4, 5]))
+@settings(max_examples=120, deadline=None)
+def test_clique_index_hedges_match_the_pair_key_oracle(g, q):
+    index = CliqueIndex(g, q)
+    assert index.hedges == reference_hedges(index.cliques, index.edge_ids)
 
 
 # ===================================================================
