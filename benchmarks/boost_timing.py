@@ -1,16 +1,20 @@
-"""Time the fractional boost on G(n, 9/10) and hash its outputs.
+"""Time the fractional boost on G(n, 9/10) and the edge gadget solve,
+and hash their outputs.
 
 Usage:
     python benchmarks/boost_timing.py LABEL [--src DIR]
 
 Runs fractional_kq_decomposition(gnp(n, 9/10, seed), 3) for n = 9, 11,
-13, 15 and seeds 0-4, each call REPEATS = 5 times, with the package
-imported from DIR (default: this checkout's src/).  boost is timed by
-rebinding the module attribute fractional_kq_decomposition calls it
-through.  The run is stored under LABEL in benchmarks/BENCH_boost.json,
-next to the runs already there: the sha256 of each call's serialized
-weighting and (in_range, max_deviation, c_range), or of its refusal,
-must agree between runs whose outputs are meant to be identical.
+13, 15 and seeds 0-4, and edge_gadget(q, r) for (q, r) = (6, 2),
+(6, 3), (5, 4) with the gadget cache cleared first, each call
+REPEATS = 5 times, with the package imported from DIR (default: this
+checkout's src/).  boost is timed by rebinding the module attribute
+fractional_kq_decomposition calls it through.  The run is stored under
+LABEL in benchmarks/BENCH_boost.json, next to the runs already there:
+the sha256 of each boost call's serialized weighting and (in_range,
+max_deviation, c_range), or of its refusal, and of each gadget's
+sorted weights must agree between runs whose outputs are meant to be
+identical.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from polish_timing import machine, median, parse_label_and_src, save_run, timed
 
 OUT = Path(__file__).resolve().parent / "BENCH_boost.json"
 CASES = {n: (0, 1, 2, 3, 4) for n in (9, 11, 13, 15)}
+GADGETS = ((6, 2), (6, 3), (5, 4))
 REPEATS = 5
 
 
@@ -51,6 +56,15 @@ def _one_call(fractional, g):
         ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     return total_ms, sum(boost_ms), digest
+
+
+def _gadget_call(fractional, q, r):
+    fractional._canonical_gadget.cache_clear()
+    t = time.perf_counter()
+    gad = fractional.edge_gadget(q, r)
+    ms = (time.perf_counter() - t) * 1000
+    doc = [[list(h), str(v)] for h, v in sorted(gad.psi.items())]
+    return ms, hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 def run() -> dict:
@@ -80,11 +94,23 @@ def run() -> dict:
             ).hexdigest(),
             "calls": calls,
         }
+    gadgets = {}
+    for q, r in GADGETS:
+        samples = [_gadget_call(fractional, q, r) for _ in range(REPEATS)]
+        digests = {s[1] for s in samples}
+        if len(digests) != 1:
+            raise SystemExit(f"edge_gadget({q}, {r}): outputs differ between repeats")
+        gadgets[f"{q},{r}"] = {
+            "ms": median([s[0] for s in samples]),
+            "sha256": digests.pop(),
+        }
     return {
         "machine": machine(),
         "repeats": REPEATS,
-        "workload": "fractional_kq_decomposition(gnp(n, 9/10, seed), 3)",
+        "workload": "fractional_kq_decomposition(gnp(n, 9/10, seed), 3); "
+                    "edge_gadget(q, r), gadget cache cleared",
         "cases": cases,
+        "gadgets": gadgets,
     }
 
 
@@ -95,6 +121,8 @@ def main() -> None:
     for n, case in result["cases"].items():
         print(f"{label} n={n}: total {case['median_total_ms']} ms, "
               f"boost {case['median_boost_ms']} ms, sha256 {case['sha256'][:16]}")
+    for qr, case in result["gadgets"].items():
+        print(f"{label} edge_gadget({qr}): {case['ms']} ms, sha256 {case['sha256'][:16]}")
 
 
 if __name__ == "__main__":

@@ -601,12 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(sp)
     sp = _leaf(gad, "transformer", cmd_gadget_transformer, "star-to-star transformer")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, default=2, help="interior path length (q=3 only)")
+    sp.add_argument("--k", type=int, default=2, help="interior path length at q=3; must be 2 at q >= 4")
     _add_out(sp, "graph file; sidecar goes to FILE.json")
     _add_json(sp)
     sp = _leaf(gad, "absorber", cmd_gadget_absorber, "absorber bundle with certificates")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--k", type=int, default=2, help="anti-clique parameter")
+    sp.add_argument("--k", type=int, default=2, help="transformer path length at q=3; must be 2 at q >= 4")
     sp.add_argument("--l", metavar="FILE", help="absorb this graph instead of the anti-clique")
     _add_out(sp, "graph file; sidecar goes to FILE.json")
     _add_json(sp)

@@ -2,25 +2,28 @@
 
 An edge gadget on an r-set e and a disjoint q-set J assigns rational
 weights to the q-subsets of e u J so that the load on every r-subset
-is 1 at e and 0 elsewhere.  The linear system is square (there are as
-many q-subsets as r-subsets of a (q+r)-set) and nonsingular, so the
-gadget is unique; its weights can be negative, which is why weightings
-here carry signed rationals and verification enforces nonnegativity
-separately.
+is 1 at e and 0 elsewhere.  For r <= q the inclusion matrix of the
+r-subsets against the q-subsets of a (q+r)-set is nonsingular
+(Gottlieb 1966), so the gadget is unique.  Being unique, it is fixed
+by every permutation of e and of J: a q-set meeting e in k vertices
+weighs x_k, and the gadget is the r + 1 numbers x_0..x_r.  Their load
+equations are triangular and solve by back-substitution.  The weights
+can be negative, which is why weightings here carry signed rationals
+and verification enforces nonnegativity separately.
 
 Boosting perturbs the uniform weighting 1/d by gadget multiples so
 that every edge load lands exactly on its target: the per-edge
 corrections do not interact because each gadget loads only its own
-edge.  The gadget sum runs on integer numerators over one common
-denominator, and each weight becomes one Fraction at the end: still
-exact, with no floats and no tolerances.
+edge.  At each (q+2)-clique the gadgets of its pairs sum by pair and
+star sums of their multiples.  The sum runs on integer numerators over
+one common denominator, and each weight becomes one Fraction at the
+end: still exact, with no floats and no tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,29 +44,6 @@ __all__ = [
     "SampleResult",
     "sample_regular_cliques",
 ]
-
-
-# ===================================================================
-# Exact linear algebra
-# ===================================================================
-
-
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Gauss-Jordan over rationals; None when singular."""
-    n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 # ===================================================================
@@ -97,46 +77,46 @@ class EdgeGadget:
 
 
 @lru_cache(maxsize=None)
-def _canonical_gadget(
-    q: int, r: int
-) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
-    """The gadget on e = (0..r-1), J = (r..r+q-1) as integer numerators
-    over one positive denominator: ((q-subset, numerator), ...), den."""
-    verts = range(q + r)
-    cols = list(itertools.combinations(verts, q))
-    rows = list(itertools.combinations(verts, r))
-    e = tuple(range(r))
-    a = [
-        [Fraction(1 if set(row) <= set(col) else 0) for col in cols] for row in rows
-    ]
-    b = [Fraction(1 if row == e else 0) for row in rows]
-    # square, since binom(q + r, r) = binom(q + r, q)
-    x = _solve_square(a, b)
-    if x is None:
-        raise AssertionError(
-            f"internal error: gadget system (q={q}, r={r}) is singular"
+def _canonical_gadget(q: int, r: int) -> tuple[tuple[int, ...], int]:
+    """The weights x_0..x_r as integer numerators over one positive
+    denominator; x_k is the weight of a q-set meeting e in k vertices.
+
+    An r-set S meeting e in j vertices lies in C(r-j, k-j) C(q-r+j,
+    q-r+j-k) of those q-sets, so the load equation of S involves only
+    x_j..x_r, and x_j with coefficient C(q-r+j, q-r) >= 1: solved by
+    back-substitution from x_r = 1/C(q, r) down to x_0.
+    """
+    x = [Fraction(0)] * (r + 1)
+    for j in range(r, -1, -1):
+        rest = sum(
+            math.comb(r - j, k - j) * math.comb(q - r + j, q - r + j - k) * x[k]
+            for k in range(j + 1, min(r, q - r + j) + 1)
         )
+        x[j] = (Fraction(j == r) - rest) / math.comb(q - r + j, q - r)
     den = math.lcm(*(v.denominator for v in x))
-    return tuple((h, v.numerator * (den // v.denominator)) for h, v in zip(cols, x)), den
+    return tuple(v.numerator * (den // v.denominator) for v in x), den
 
 
 def edge_gadget(q: int, r: int = 2, e=None, j=None) -> EdgeGadget:
     """The unique gadget for e over J (canonical labels when omitted).
 
-    Solved once per (q, r) and transported by relabeling; uniqueness of
-    the solution makes the transport independent of the order chosen.
+    A q-subset h of e u J gets x_k with k = |h & e|; the r + 1 weights
+    are solved once per (q, r).
     """
     if q < 3:
         raise ValueError(f"q must be at least 3, got {q}")
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    if not 1 <= r <= q:
+        raise ValueError(f"r must be in 1..q, got r={r} with q={q}")
     e = tuple(sorted(e)) if e is not None else tuple(range(r))
     j = tuple(sorted(j)) if j is not None else tuple(range(r, r + q))
     if len(e) != r or len(j) != q or set(e) & set(j):
         raise ValueError("need |e| = r and |J| = q with e, J disjoint")
-    labels = e + j
     nums, den = _canonical_gadget(q, r)
-    psi = {tuple(sorted(labels[i] for i in h)): Fraction(v, den) for h, v in nums}
+    in_e = set(e)
+    psi = {
+        h: Fraction(nums[len(in_e.intersection(h))], den)
+        for h in itertools.combinations(sorted(e + j), q)
+    }
     return EdgeGadget(q, r, e, j, psi)
 
 
@@ -260,25 +240,6 @@ def _as_targets(g: Graph, phi) -> dict[tuple[int, int], Fraction]:
     return {e: val for e in g.sorted_edges()}
 
 
-def _gadget_table(q: int):
-    """The gadget at every pair of a sorted (q+2)-set, by position.
-
-    Returns (den, subs, cols): subs[s] picks the s-th q-subset of the
-    set, and cols[s][p] is the numerator, over den, of that subset in
-    the gadget on the p-th pair (pairs in combinations order).
-    """
-    nums, den = _canonical_gadget(q, 2)
-    positions = range(q + 2)
-    subs = list(itertools.combinations(positions, q))
-    at = {sub: s for s, sub in enumerate(subs)}
-    cols = [[0] * math.comb(q + 2, 2) for _ in subs]
-    for p, e in enumerate(itertools.combinations(positions, 2)):
-        labels = e + tuple(v for v in positions if v not in e)
-        for h, v in nums:
-            cols[at[tuple(sorted(map(labels.__getitem__, h)))]][p] = v
-    return den, [operator.itemgetter(*sub) for sub in subs], cols
-
-
 def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     """Weighting on h_cliques with edge loads exactly phi.
 
@@ -292,6 +253,10 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     The sum runs on integer numerators over one denominator L * den:
     L is the lcm of the denominators of 1/d and of every c_e/d, and den
     that of the gadget, so each weight is one exact Fraction at the end.
+    With k_p the multiple at pair p, the gadgets of all pairs of a
+    (q+2)-clique Q put x2 K + (x1 - x2)(S_a + S_b) + (x0 - 2 x1 + x2) k_ab
+    on the q-set Q - {a, b}: K sums k_p over the pairs of Q, and S_v
+    over those containing v.
     """
     d = Fraction(d)
     if d <= 0:
@@ -330,12 +295,21 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     big_l = math.lcm(d.numerator, *(x.denominator for x in scales.values()))
     k = {e: x.numerator * (big_l // x.denominator) for e, x in scales.items()}
 
-    den, subs, cols = _gadget_table(q) if k else (1, (), ())
+    (x0, x1, x2), den = _canonical_gadget(q, 2)
+    x_star, x_pair = x1 - x2, x0 - 2 * x1 + x2
+    pairs = list(itertools.combinations(range(q + 2), 2))
     acc = dict.fromkeys(hset, big_l // d.numerator * d.denominator * den)
     for qc in qsets:  # every occurrence, duplicates included
         ks = [k.get(e, 0) for e in itertools.combinations(qc, 2)]
-        for sub, col in zip(subs, cols):
-            acc[sub(qc)] += sum(map(operator.mul, ks, col))
+        star = [0] * (q + 2)
+        for (a, b), kp in zip(pairs, ks):
+            star[a] += kp
+            star[b] += kp
+        base = x2 * sum(ks)
+        for (a, b), kp in zip(pairs, ks):
+            acc[qc[:a] + qc[a + 1 : b] + qc[b + 1 :]] += (
+                base + x_star * (star[a] + star[b]) + x_pair * kp
+            )
 
     denom = big_l * den
     weighting = CliqueWeighting(q, {h: Fraction(a, denom) for h, a in acc.items()})

@@ -335,9 +335,12 @@ def star_transformer(q: int, k: int = 2) -> TransformerBundle:
     For q = 3 the body is a path of k interior vertices (k even); the
     certificates alternate triangles between the centers.  For q >= 4
     the body is the row/column clique grid and the certificates are the
-    columns with one center and the rows with the other.  Certificates
-    are verified before returning.
+    columns with one center and the rows with the other; the grid has
+    no length, so k must be 2 there.  Certificates are verified before
+    returning.
     """
+    if q >= 4 and k != 2:
+        raise ValueError(f"k must be 2 at q >= 4, got {k}")
     bundle = _triangle_transformer(k) if q == 3 else _grid_transformer(q)
     problems = verify_transformer(bundle)
     if problems:
@@ -398,9 +401,9 @@ def _checked_bundle(bundle: AbsorberBundle) -> AbsorberBundle:
     return bundle
 
 
-def trivial_absorber(l: Graph, q: int, budget: SolveBudget | None = None) -> AbsorberBundle:
+def trivial_absorber(l: Graph, q: int) -> AbsorberBundle:
     """The empty absorber, available exactly when L itself decomposes."""
-    res = exact_decomposition(l, q, budget)
+    res = exact_decomposition(l, q)
     if res.status != "found":
         raise ValueError(
             f"no decomposition of L found (status {res.status}); "
@@ -433,6 +436,7 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     connector vertices.  The two certificates walk the layers in
     opposite directions; both are verified before returning.
     """
+    canonical = star_transformer(q, k)  # first, so a bad k fails fast
     base = Graph(q, _clique_pairs(range(q)))
     ex1 = nabla_expansion(q, base)  # S1 = L
     s1 = ex1.graph
@@ -461,7 +465,6 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
             a3_edges.extend((min(end, w), max(end, w)) for w in qe)
 
     # transformer copies
-    canonical = star_transformer(q, k)
     groups: dict[int, list[list[tuple[int, int]]]] = {}
     adj_edges: dict[int, list[tuple[int, int]]] = {}
     for e in s2.sorted_edges():
@@ -534,7 +537,6 @@ def nabla_absorber(
     l: Graph,
     booster: AbsorberBundle,
     base: AbsorberBundle | None = None,
-    budget: SolveBudget | None = None,
 ) -> AbsorberBundle:
     """Absorber for any divisible L from a base absorber and a booster.
 
@@ -557,7 +559,7 @@ def nabla_absorber(
         q2 = base.decomp_la
         universe = max(l.n, a0.n)
     else:
-        res = exact_decomposition(l, q, budget)
+        res = exact_decomposition(l, q)
         if res.status != "found":
             raise ValueError(
                 f"no decomposition of L (status {res.status}); "

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles by exhaustive
 enumeration, so it stays trivially auditable; the exceptions are
-reference_exact_cover, Algorithm X over plain sets, and
-reference_boost, the plain Fraction form of the fractional boost.
+reference_exact_cover, Algorithm X over plain sets, solved_edge_gadget,
+Gauss-Jordan over the full load system, and reference_boost, the plain
+Fraction form of the fractional boost.
 Nothing is imported from the package beyond the Graph container itself.
 """
 
@@ -220,6 +221,38 @@ def reference_fat_prefixes(body: Graph, pool: Graph, t: int, demand: int, cap=40
 # ===================================================================
 # Fractional boost, one Fraction update per gadget entry
 # ===================================================================
+
+
+def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """Gauss-Jordan over rationals; None when singular."""
+    n = len(a)
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def solved_edge_gadget(q: int, r: int) -> dict[tuple[int, ...], Fraction]:
+    """The edge gadget on e = (0..r-1), J = (r..r+q-1) for any r <= q,
+    by solving the load equations of all r-subsets (rows) in the
+    weights of all q-subsets (columns): square, since C(q+r, r) =
+    C(q+r, q), and nonsingular for r <= q."""
+    cols = list(combinations(range(q + r), q))
+    rows = list(combinations(range(q + r), r))
+    a = [[Fraction(set(row) <= set(col)) for col in cols] for row in rows]
+    b = [Fraction(row == tuple(range(r))) for row in rows]
+    x = _solve_square(a, b)
+    assert x is not None, f"gadget system (q={q}, r={r}) is singular"
+    return dict(zip(cols, x))
 
 
 def reference_gadget(q: int) -> list[tuple[tuple[int, ...], Fraction]]:

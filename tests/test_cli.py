@@ -193,6 +193,15 @@ def test_density_roots_outside_the_graph_are_a_domain_error(tmp_path, capsys):
 # ===================================================================
 
 
+def test_gadget_k_other_than_2_at_q4_is_a_domain_error(tmp_path, capsys):
+    for tool in ("transformer", "absorber"):
+        out = tmp_path / f"{tool}.txt"
+        argv = ["gadget", tool, "--q", "4", "--k", "7", "-o", str(out)]
+        rc, stdout, stderr = run(argv, capsys)
+        assert rc == 1 and stdout == "" and not out.exists()
+        assert stderr == "error: k must be 2 at q >= 4, got 7\n"
+
+
 def test_gadget_transformer_roundtrips_through_verify(tmp_path, capsys):
     out = tmp_path / "t.txt"
     rc, _, _ = run(["gadget", "transformer", "--q", "3", "--k", "2", "-o", str(out)], capsys)
@@ -437,6 +446,12 @@ def test_fractional_boost_reports_domain_failure(tmp_path, capsys):
     rc, _, stderr = run(["fractional", "boost", "--in", str(gfile), "--q", "3"], capsys)
     assert rc == 1
     assert stderr.startswith("error:")
+
+
+def test_fractional_gadget_with_r_above_q_is_a_domain_error(capsys):
+    rc, stdout, stderr = run(["fractional", "gadget", "--q", "3", "--r", "4"], capsys)
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: r must be in 1..q, got r=4 with q=3\n"
 
 
 # ===================================================================

@@ -24,7 +24,12 @@ from cliqueforge.graphs import Graph
 from cliqueforge.randgraphs import gnp, stream
 from cliqueforge.solver import enumerate_cliques
 
-from oracles import complete_graph, reference_boost, reference_gadget
+from oracles import (
+    complete_graph,
+    reference_boost,
+    reference_gadget,
+    solved_edge_gadget,
+)
 
 
 # ===================================================================
@@ -53,16 +58,21 @@ def test_edge_gadget_3_2():
     assert len(gad.psi) == math.comb(5, 3)
 
 
-@pytest.mark.parametrize("q, r", [(3, 1), (3, 2), (4, 2), (5, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "q, r", [(q, r) for q in range(3, 7) for r in range(1, q + 1)] + [(7, 4)]
+)
 def test_edge_gadget_families(q, r):
     gad = edge_gadget(q, r)
     gadget_loads_are_exact(gad)
-    assert gad.max_abs <= 2**r * math.factorial(r) or not gad.bound_ok
+    assert gad.bound_ok
+    assert max(map(abs, gad.psi.values())) <= 2**r * math.factorial(r)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 6])
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
 def test_edge_gadget_matches_the_closed_form(q):
     assert edge_gadget(q, 2).psi == dict(reference_gadget(q))
+    for r in range(1, min(q, 8 - q) + 1):
+        assert edge_gadget(q, r).psi == solved_edge_gadget(q, r)
 
 
 def test_edge_gadget_transport_to_other_labels():
@@ -79,6 +89,8 @@ def test_edge_gadget_input_validation():
         edge_gadget(2, 2)
     with pytest.raises(ValueError):
         edge_gadget(3, 0)
+    with pytest.raises(ValueError, match="r must be in 1..q"):
+        edge_gadget(3, 4)  # no q-subset of e u J contains e
     with pytest.raises(ValueError):
         edge_gadget(3, 2, e=(0, 1), j=(1, 2, 3))  # overlap
     with pytest.raises(ValueError):

@@ -178,6 +178,12 @@ def test_star_transformer_rejects_odd_k():
         star_transformer(3, 0)
     with pytest.raises(ValueError):
         star_transformer(2)
+    # the q >= 4 grid has no length, so any k but 2 is refused, not ignored
+    for q, k in ((4, 7), (5, 4)):
+        with pytest.raises(ValueError, match="k must be 2 at q >= 4"):
+            star_transformer(q, k)
+    with pytest.raises(ValueError, match="k must be 2 at q >= 4"):
+        anti_clique_absorber(4, k=4)
 
 
 # ===================================================================
