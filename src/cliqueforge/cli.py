@@ -54,7 +54,7 @@ from .gadgets import (
     verify_omni_absorber,
 )
 from .graphs import (
-    leave_lower_bound_check,
+    optimal_leave_number,
     parse_graph,
     parse_packing,
     serialize_graph,
@@ -422,7 +422,7 @@ def cmd_verify_packing(args) -> int:
     g = _read_graph(args.graph)
     p = _parse_file(args.packing, parse_packing)
     rep = verify_packing(g, p)
-    bound_ok = rep.valid and leave_lower_bound_check(g, p)
+    bound_ok = rep.valid and rep.leave.m >= optimal_leave_number(g, p.q)
     if args.json:
         _emit_json(
             args,

@@ -58,7 +58,6 @@ from .graphs import Graph
 
 __all__ = [
     "DensityValue",
-    "RootedGraph",
     "ConcatenationBound",
     "max_rooted_density",
     "max_2_density",
@@ -97,19 +96,6 @@ class DensityValue:
 
     def __hash__(self):
         return hash((self.value, self.witness, self.kind))
-
-
-class RootedGraph:
-    """A graph with an independent set of root vertices."""
-
-    __slots__ = ("graph", "roots")
-
-    def __init__(self, graph: Graph, roots: Iterable[int]):
-        self.graph = graph
-        self.roots = _check_roots(graph, roots)
-
-    def __repr__(self):
-        return f"RootedGraph(n={self.graph.n}, m={self.graph.m}, roots={sorted(self.roots)})"
 
 
 def _check_roots(g: Graph, roots: Iterable[int]) -> frozenset[int]:

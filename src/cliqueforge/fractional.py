@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, _content_lines, _parse_ints
+from .graphs import Graph, _check_q, _content_lines, _parse_ints
 
 __all__ = [
     "EdgeGadget",
@@ -97,27 +97,21 @@ def _canonical_gadget(q: int, r: int) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in x), den
 
 
-def edge_gadget(q: int, r: int = 2, e=None, j=None) -> EdgeGadget:
-    """The unique gadget for e over J (canonical labels when omitted).
+def edge_gadget(q: int, r: int = 2) -> EdgeGadget:
+    """The unique gadget for e = (0..r-1) over J = (r..r+q-1).
 
     A q-subset h of e u J gets x_k with k = |h & e|; the r + 1 weights
     are solved once per (q, r).
     """
-    if q < 3:
-        raise ValueError(f"q must be at least 3, got {q}")
+    _check_q(q)
     if not 1 <= r <= q:
         raise ValueError(f"r must be in 1..q, got r={r} with q={q}")
-    e = tuple(sorted(e)) if e is not None else tuple(range(r))
-    j = tuple(sorted(j)) if j is not None else tuple(range(r, r + q))
-    if len(e) != r or len(j) != q or set(e) & set(j):
-        raise ValueError("need |e| = r and |J| = q with e, J disjoint")
     nums, den = _canonical_gadget(q, r)
-    in_e = set(e)
     psi = {
-        h: Fraction(nums[len(in_e.intersection(h))], den)
-        for h in itertools.combinations(sorted(e + j), q)
+        h: Fraction(nums[sum(v < r for v in h)], den)
+        for h in itertools.combinations(range(q + r), q)
     }
-    return EdgeGadget(q, r, e, j, psi)
+    return EdgeGadget(q, r, tuple(range(r)), tuple(range(r, r + q)), psi)
 
 
 # ===================================================================
@@ -161,9 +155,6 @@ class CliqueWeighting:
     def edge_load(self, u: int, v: int) -> Fraction:
         e = (u, v) if u < v else (v, u)
         return self.loads().get(e, Fraction(0))
-
-    def min_weight(self) -> Fraction:
-        return min(self.weights.values(), default=Fraction(0))
 
     def __len__(self):
         return len(self.weights)
@@ -258,6 +249,7 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     on the q-set Q - {a, b}: K sums k_p over the pairs of Q, and S_v
     over those containing v.
     """
+    _check_q(q)
     d = Fraction(d)
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
@@ -340,6 +332,7 @@ def fractional_kq_decomposition(g: Graph, q: int) -> BoostResult:
     """
     from .solver import enumerate_cliques
 
+    _check_q(q)
     if g.m == 0:
         return BoostResult(
             CliqueWeighting(q, {}), True, Fraction(0), (Fraction(0), Fraction(0))

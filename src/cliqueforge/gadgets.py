@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, Packing, is_kq_divisible, union
+from .graphs import Graph, Packing, _check_q, is_kq_divisible, union
 from .solver import (
     BudgetExceeded,
     SolveBudget,
@@ -102,8 +102,7 @@ class Gadget:
 
 def anti_edge(q: int) -> Gadget:
     """K_q minus one edge, rooted at the missing pair (vertices 0, 1)."""
-    if q < 3:
-        raise ValueError(f"q must be at least 3, got {q}")
+    _check_q(q)
     internals = tuple(range(2, q))
     return Gadget("anti_edge", q, Graph(q, _anti_edge_pairs(0, 1, internals)), (0, 1))
 
@@ -149,13 +148,6 @@ class NablaExpansion:
             self.q, [e + self.anti[e] for e in sorted(self.anti)]
         )
 
-    def clique_roots(self, clique: tuple[int, ...]) -> tuple[int, ...]:
-        """Vertex set of the expansion of one base clique (for rooting)."""
-        vs = set(clique)
-        for e in _clique_pairs(clique):
-            vs.update(self.anti[e])
-        return tuple(sorted(vs))
-
 
 def nabla_expansion(q: int, base: Graph) -> NablaExpansion:
     """Replace every edge of base by an anti-edge on fresh internals.
@@ -163,6 +155,7 @@ def nabla_expansion(q: int, base: Graph) -> NablaExpansion:
     Internals are numbered from base.n up, q-2 per base edge in sorted
     edge order.  Every gadget and absorber layout is built from this.
     """
+    _check_q(q)
     return _expand(q, base, _Fresh(base.n))
 
 
@@ -737,7 +730,7 @@ OMNI_MAX_FRESH = 6
 OMNI_BUDGET_NODES = 2_000_000
 
 
-def _private_absorber_search(lg: Graph, support, q):
+def _private_absorber_search(lg: Graph, support):
     """Joint search for (A_L, D1, D2) over hosts with m fresh vertices.
 
     Exact cover formulation: per L-edge one primary column (covered by
@@ -757,7 +750,7 @@ def _private_absorber_search(lg: Graph, support, q):
         ]
         host_set = set(host_pairs)
         full = Graph(n, list(lg.edges) + host_pairs)
-        tris = enumerate_cliques(full, q)
+        tris = enumerate_cliques(full, 3)
         cols: list = [("L", e) for e in led]
         for f in host_pairs:
             cols.append(("D1", f))
@@ -782,22 +775,20 @@ def _private_absorber_search(lg: Graph, support, q):
                     if d2
                     else []
                 )
-                return Graph(n, a_edges), Packing(q, d1), Packing(q, d2)
+                return Graph(n, a_edges), Packing(3, d1), Packing(3, d2)
         except BudgetExceeded:
             continue
     return None
 
 
-def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
+def naive_omni_absorber(x: Graph) -> OmniAbsorber:
     """Vertex-disjoint private absorbers for every divisible L inside X.
 
     Bounded exact search over hosts K_m on the support of L plus m
     fresh vertices, m increasing; raises when the caps are exhausted
     (existence at some size is known, this search is just bounded).
-    Only q = 3 is supported, and e(X) is capped at 6.
+    The search is for q = 3 only, and e(X) is capped at 6.
     """
-    if q != 3:
-        raise ValueError("the bounded search is only wired for q = 3")
     if x.m > 6:
         raise ValueError(f"e(X) = {x.m} exceeds the cap of 6")
     xedges = x.sorted_edges()
@@ -807,10 +798,10 @@ def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
     for bits in range(1, 1 << x.m):
         subset = tuple(xedges[i] for i in range(x.m) if bits >> i & 1)
         lg = Graph(x.n, subset)
-        if not is_kq_divisible(lg, q):
+        if not is_kq_divisible(lg, 3):
             continue
         support = set(_support(lg))
-        found = _private_absorber_search(lg, support, q)
+        found = _private_absorber_search(lg, support)
         if found is None:
             raise ValueError(
                 f"no private absorber for a divisible subgraph with "
@@ -823,8 +814,8 @@ def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
             (
                 frozenset(subset),
                 Graph(n, _relabel_edges(ag.edges, mapping)),
-                Packing(q, _relabel_packing(d1, mapping)),
-                Packing(q, _relabel_packing(d2, mapping)),
+                Packing(3, _relabel_packing(d1, mapping)),
+                Packing(3, _relabel_packing(d2, mapping)),
             )
         )
     a_total = Graph(n, [e for _, ag, _, _ in placed for e in ag.edges])
@@ -835,8 +826,8 @@ def naive_omni_absorber(x: Graph, q: int = 3) -> OmniAbsorber:
         cliques: list[tuple[int, ...]] = []
         for key, _, d1, d2 in placed:
             cliques.extend(d2.cliques if key == subset else d1.cliques)
-        table[subset] = Packing(q, cliques)
-    return OmniAbsorber(q, x, a_total, table)
+        table[subset] = Packing(3, cliques)
+    return OmniAbsorber(3, x, a_total, table)
 
 
 # ===================================================================

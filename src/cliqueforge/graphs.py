@@ -20,13 +20,11 @@ __all__ = [
     "edge_key",
     "union",
     "subtract",
-    "relabel",
     "is_kq_divisible",
     "degree_residue_profile",
     "optimal_leave_number",
     "leave_bound",
     "verify_packing",
-    "leave_lower_bound_check",
     "parse_graph",
     "serialize_graph",
     "parse_packing",
@@ -120,13 +118,6 @@ def union(*graphs: Graph, expect_edge_disjoint: bool = False) -> Graph:
 def subtract(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     drop = {edge_key(u, v) for u, v in edges}
     return Graph(g.n, g.edges - drop)
-
-
-def relabel(g: Graph, mapping: dict[int, int], n: int) -> Graph:
-    """Relabel through an injective vertex map into a universe of size n."""
-    if len(set(mapping.values())) != len(mapping):
-        raise ValueError("relabel mapping is not injective")
-    return Graph(n, ((mapping[u], mapping[v]) for u, v in g.edges))
 
 
 # ===================================================================
@@ -281,14 +272,6 @@ def verify_packing(g: Graph, p: Packing) -> PackingReport:
                     seen.add(e)
     leave = Graph(g.n, g.edges - seen)
     return PackingReport(not problems, len(seen), leave, problems)
-
-
-def leave_lower_bound_check(g: Graph, p: Packing) -> bool:
-    """True when the packing's leave meets the optimal leave bound."""
-    rep = verify_packing(g, p)
-    if not rep.valid:
-        return False
-    return rep.leave.m >= optimal_leave_number(g, p.q)
 
 
 # ===================================================================

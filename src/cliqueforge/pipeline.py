@@ -32,7 +32,7 @@ from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
 from .gadgets import anti_edge, nabla_expansion
 from .graphs import Graph, Packing, optimal_leave_number, verify_packing
 from .randgraphs import _below, gnd, gnp, slice_graph, stream
-from .solver import CliqueIndex, min_leave_packing
+from .solver import CliqueIndex, enumerate_cliques, min_leave_packing
 
 __all__ = [
     "design_hypergraph",
@@ -405,8 +405,10 @@ def _fat_prefixes(body: Graph, pool: Graph, t: int, demand: int, cap: int = 40):
     """t-cliques of the body whose vertices have pool degree >= demand.
 
     The fat-zone vertices each anchor (t-1)(q(q-1)-1) gadgets, so they
-    must start with that many spare pool edges; candidates are scanned
-    in decreasing pool-degree order.
+    must start with that many spare pool edges; candidates are taken in
+    decreasing pool-degree order, and the first cap t-cliques among them
+    are returned in itertools.combinations order (the lexicographic
+    cliques of the candidates relabelled by position).
     """
     pool_adj = pool.adjacency()
     body_adj = body.adjacency()
@@ -415,29 +417,14 @@ def _fat_prefixes(body: Graph, pool: Graph, t: int, demand: int, cap: int = 40):
             (v for v in range(body.n) if len(pool_adj[v]) >= cutoff),
             key=lambda v: (-len(pool_adj[v]), v),
         )[:30]
-        out = list(itertools.islice(_cliques_among(cands, body_adj, t), cap))
+        at = {v: i for i, v in enumerate(cands)}
+        sub = Graph(
+            len(cands), [(at[v], at[w]) for v in cands for w in body_adj[v] if w in at]
+        )
+        out = [tuple(cands[i] for i in c) for c in enumerate_cliques(sub, t)[:cap]]
         if out:
             return out
     return []
-
-
-def _cliques_among(cands: list[int], adj, t: int):
-    """The t-subsets of cands that are cliques of adj, in
-    itertools.combinations order: each prefix is extended only by later
-    candidates adjacent to all of it."""
-
-    def extend(prefix: tuple[int, ...], rest: list[int]):
-        if len(prefix) == t:
-            yield prefix
-            return
-        need = t - len(prefix)
-        for i, v in enumerate(rest):
-            if len(rest) - i < need:
-                break
-            av = adj[v]
-            yield from extend(prefix + (v,), [w for w in rest[i + 1 :] if w in av])
-
-    return extend((), cands)
 
 
 def embed_fixer(
@@ -794,7 +781,7 @@ def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
         )
 
     # (ii) fixer: embed, or repair by deletion
-    gadget_pool, _ = slice_graph(g, GADGET_FRAC, 1, seed ^ 0x67616467)
+    gadget_pool, _ = slice_graph(g, GADGET_FRAC, seed ^ 0x67616467)
     emb = None
     base = g
     deleted: list = []
@@ -809,7 +796,7 @@ def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
 
     # (iii) reserve slice from the non-fixer part
     pool = Graph(g.n, base.edges - fixer_edges)
-    x_res, main = slice_graph(pool, RESERVE_FRAC, 1, seed ^ 0x72657376)
+    x_res, main = slice_graph(pool, RESERVE_FRAC, seed ^ 0x72657376)
 
     # (iv) + (v) nibble on the main slice A, completion through reserve
     # cliques; every stage from here on works on one clique index of g,
@@ -891,6 +878,9 @@ def bench(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
+    name, value = ("p", p) if kind == "gnp" else ("d", d)
+    if value is None:
+        raise ValueError(f"kind {kind} needs {name}")
     seeds = [stream(master_seed, "trial", i).getrandbits(63) for i in range(trials)]
 
     def run(s):

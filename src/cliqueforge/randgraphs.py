@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graphs import Graph
 
-__all__ = ["stream", "bernoulli", "gnp", "slice_graph", "gnd"]
+__all__ = ["stream", "gnp", "slice_graph", "gnd"]
 
 
 def stream(master: int, tag: str, index: int = 0) -> random.Random:
@@ -55,10 +55,6 @@ def _threshold(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
-def bernoulli(rng: random.Random, p: Fraction) -> bool:
-    return rng.getrandbits(64) < _threshold(p)
-
-
 def _as_probability(p) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -82,20 +78,14 @@ def gnp(n: int, p, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def slice_graph(g: Graph, p1, p, seed: int) -> tuple[Graph, Graph]:
-    """Split G into (G1, G - G1) keeping each edge with probability p1/p.
+def slice_graph(g: Graph, frac, seed: int) -> tuple[Graph, Graph]:
+    """Split G into (G1, G - G1) keeping each edge with probability frac.
 
-    When G ~ G(n, p) the first part is marginally G(n, p1); the coins
-    run over sorted edges so the split depends only on the edge set.
+    When G ~ G(n, p) the first part is marginally G(n, frac p); the
+    coins run over sorted edges so the split depends only on the edge set.
     """
-    p1 = Fraction(p1)
-    p = Fraction(p)
-    if not 0 <= p1 <= p:
-        raise ValueError(f"need 0 <= p1 <= p, got p1={p1}, p={p}")
-    if p == 0:
-        return Graph(g.n, []), g
+    threshold = _threshold(_as_probability(frac))
     rng = stream(seed, "slice")
-    threshold = _threshold(p1 / p)
     kept = [e for e in g.sorted_edges() if rng.getrandbits(64) < threshold]
     first = Graph(g.n, kept)
     return first, Graph(g.n, g.edges - first.edges)

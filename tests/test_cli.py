@@ -271,6 +271,15 @@ def test_gadget_nabla_and_tilde_write_plain_graphs(tmp_path, capsys):
     assert stdout == serialize_graph(tilde_nabla(3, cycle_graph(5)))
 
 
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_gadget_nabla_with_q_below_3_is_a_domain_error(tmp_path, capsys, q):
+    base = tmp_path / "p3.txt"
+    base.write_text(serialize_graph(Graph(3, [(0, 1), (1, 2)])))
+    rc, stdout, stderr = run(["gadget", "nabla", "--q", str(q), "--base", str(base)], capsys)
+    assert rc == 1 and stdout == ""
+    assert stderr == f"error: q must be at least 3, got {q}\n"
+
+
 # ===================================================================
 # fixer
 # ===================================================================
@@ -448,6 +457,14 @@ def test_fractional_boost_reports_domain_failure(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+def test_fractional_boost_with_q_below_3_is_a_domain_error(tmp_path, capsys):
+    gfile = tmp_path / "k6.txt"
+    gfile.write_text(serialize_graph(complete_graph(6)))
+    rc, stdout, stderr = run(["fractional", "boost", "--in", str(gfile), "--q", "2"], capsys)
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: q must be at least 3, got 2\n"
+
+
 def test_fractional_gadget_with_r_above_q_is_a_domain_error(capsys):
     rc, stdout, stderr = run(["fractional", "gadget", "--q", "3", "--r", "4"], capsys)
     assert rc == 1 and stdout == ""
@@ -498,6 +515,20 @@ def test_verify_packing_and_decomposition_on_k7(tmp_path, capsys):
     rc, stdout, _ = run(["verify", "packing", "--graph", str(gfile), "--packing", str(pfile)], capsys)
     assert rc == 1
     assert stdout.endswith("problems\n")
+
+
+def test_verify_packing_json_reports_the_leave_bound(tmp_path, capsys):
+    # a valid K4 packing meets the bound; an invalid one never certifies it
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(serialize_graph(complete_graph(4)))
+    pfile = tmp_path / "p.txt"
+    argv = ["verify", "packing", "--graph", str(gfile), "--packing", str(pfile), "--json"]
+    for cliques, valid in (([(0, 1, 2)], True), ([(0, 1, 2), (0, 1, 3)], False)):
+        pfile.write_text(serialize_packing(Packing(3, cliques)))
+        rc, stdout, _ = run(argv, capsys)
+        assert rc == (0 if valid else 1)
+        doc = json.loads(stdout)
+        assert doc["valid"] is valid and doc["bound_ok"] is valid
 
 
 def test_verify_omni_cli_matches_the_library(tmp_path, capsys):

@@ -24,7 +24,6 @@ from cliqueforge.density import (
     max_rooted_density,
     rooted_2_density,
     rooted_degeneracy,
-    RootedGraph,
 )
 from cliqueforge.gadgets import anti_edge, fake_edge
 from cliqueforge.graphs import Graph
@@ -153,15 +152,11 @@ def test_roots_must_be_independent():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         max_rooted_density(g, [0, 1])
-    with pytest.raises(ValueError):
-        RootedGraph(g, [0, 1])
-    with pytest.raises(ValueError):
-        RootedGraph(g, [5])
 
 
 @pytest.mark.parametrize("root", [8, 99, -1])
 @pytest.mark.parametrize("functional", [
-    max_rooted_density, rooted_2_density, rooted_degeneracy, RootedGraph,
+    max_rooted_density, rooted_2_density, rooted_degeneracy,
 ])
 def test_roots_must_be_vertices(functional, root):
     g = Graph(8, [(i, (i + 1) % 8) for i in range(8)])

@@ -12,11 +12,9 @@ from cliqueforge.graphs import (
     degree_residue_profile,
     edge_key,
     is_kq_divisible,
-    leave_lower_bound_check,
     optimal_leave_number,
     parse_graph,
     parse_packing,
-    relabel,
     serialize_graph,
     serialize_packing,
     subtract,
@@ -60,7 +58,7 @@ def test_edge_key_orders_and_rejects_loop():
         edge_key(4, 4)
 
 
-def test_union_subtract_relabel():
+def test_union_and_subtract():
     a = Graph(3, [(0, 1)])
     b = Graph(4, [(1, 2), (0, 1)])
     assert union(a, b).edges == {(0, 1), (1, 2)}
@@ -68,10 +66,6 @@ def test_union_subtract_relabel():
     with pytest.raises(ValueError):
         union(a, b, expect_edge_disjoint=True)
     assert subtract(b, [(2, 1)]).edges == {(0, 1)}
-    r = relabel(a, {0: 3, 1: 0, 2: 1}, 4)
-    assert r.edges == {(0, 3)}
-    with pytest.raises(ValueError):
-        relabel(a, {0: 1, 1: 1, 2: 2}, 3)
 
 
 # ===================================================================
@@ -171,13 +165,6 @@ def test_verify_packing_flags_missing_edge_and_overlap():
     rep = verify_packing(Graph(3, [(0, 1), (1, 2), (0, 2)]), Packing(3, [(1, 2, 3)]))
     assert not rep.valid
     assert any("outside" in p for p in rep.problems)
-
-
-def test_leave_lower_bound_check():
-    g = complete_graph(4)
-    assert leave_lower_bound_check(g, Packing(3, [(0, 1, 2)]))
-    # an invalid packing never certifies the bound
-    assert not leave_lower_bound_check(g, Packing(3, [(0, 1, 2), (0, 1, 3)]))
 
 
 # ===================================================================

@@ -156,7 +156,7 @@ def _gadget_outputs():
     # the pool sliced as the pipeline slices it for pack_gnp(160, 3/10, 3, 2000)
     seed = 2000
     g = gnp(160, Fraction(3, 10), seed)
-    pool, _ = slice_graph(g, GADGET_FRAC, 1, seed ^ 0x67616467)
+    pool, _ = slice_graph(g, GADGET_FRAC, seed ^ 0x67616467)
     docs.append(_embedding_doc(g, 3, stream(seed, "embed"), pool))
     g = complete_graph(130)
     pool = Graph(g.n, {(u, v) for u, v in g.edges if v - u > 2})

@@ -131,7 +131,7 @@ def test_reserve_hypergraph_drops_cliques_off_a_and_b():
 def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
     # the completion stage draws by position in these lists
     g = gnp(14, Fraction(3, 5), 2)
-    b, a = slice_graph(g, Fraction(1, 3), 1, 2)
+    b, a = slice_graph(g, Fraction(1, 3), 2)
     pool = design_hypergraph(g, 3)
     h = _reserves(pool, a.edges, b.edges)
     badj = b.adjacency()
@@ -358,7 +358,7 @@ def test_fix_by_deletion_other_q():
 
 def test_embed_fixer_then_apply_on_a_dense_host():
     g = gnp(40, Fraction(4, 5), 0)
-    pool, _ = slice_graph(g, Fraction(1, 4), 1, 0)
+    pool, _ = slice_graph(g, Fraction(1, 4), 0)
     emb = embed_fixer(g, 3, stream(0, "embed"), pool)
     assert emb.validate(g) == []
     res = apply_fixer(g, emb)
@@ -368,7 +368,7 @@ def test_embed_fixer_then_apply_on_a_dense_host():
 
 def test_embed_fixer_fails_loudly_on_sparse_hosts():
     g = gnp(30, Fraction(1, 10), 3)
-    pool, _ = slice_graph(g, Fraction(1, 4), 1, 3)
+    pool, _ = slice_graph(g, Fraction(1, 4), 3)
     with pytest.raises(EmbedFailure):
         embed_fixer(g, 3, stream(3, "embed"), pool)
 
@@ -383,7 +383,7 @@ def test_each_gadget_takes_fake_edge_many_pool_edges(g, q, per):
     # the pool-size check in embed_fixer counts on this: every gadget
     # takes exactly e(fake_edge(q)) pool edges, disjoint from the others'
     if q == 3:
-        pool, _ = slice_graph(g, Fraction(1, 4), 1, 0)
+        pool, _ = slice_graph(g, Fraction(1, 4), 0)
     else:
         pool = Graph(g.n, {(u, v) for u, v in g.edges if v - u > 2})
     emb = embed_fixer(g, q, stream(0, "embed"), pool)
@@ -400,7 +400,7 @@ def test_each_gadget_takes_fake_edge_many_pool_edges(g, q, per):
 ])
 def test_embed_fixer_refuses_a_pool_too_small_for_its_gadgets(monkeypatch, n, p, q, seed):
     g = gnp(n, p, seed)
-    pool, _ = slice_graph(g, Fraction(1, 4), 1, seed)
+    pool, _ = slice_graph(g, Fraction(1, 4), seed)
     need = len(FixerBlueprint(q, n).gadget_keys()) * fake_edge(q).graph.m
     assert pool.m < need
 
@@ -429,7 +429,7 @@ def test_fat_prefixes_match_the_combinations_oracle(n, p, seed, t, demand, cap):
     """The body cliques the fixer may start from: the same list, in
     itertools.combinations order, as testing every t-subset."""
     g = gnp(n, p, seed)
-    pool, body = slice_graph(g, p / 3, p, seed)
+    pool, body = slice_graph(g, Fraction(1, 3), seed)
     assert _fat_prefixes(body, pool, t, demand, cap) == reference_fat_prefixes(
         body, pool, t, demand, cap
     )
@@ -574,6 +574,12 @@ def test_bench_document_shape():
     assert agg["all_valid"] == all(r.valid for r in reports)
     with pytest.raises(ValueError):
         bench("other", 10, 3, trials=1, master_seed=0)
+
+
+@pytest.mark.parametrize("kind, name", [("gnp", "p"), ("gnd", "d")])
+def test_bench_refuses_a_missing_model_parameter(kind, name):
+    with pytest.raises(ValueError, match=f"kind {kind} needs {name}"):
+        bench(kind, 20, 3, 2, 1)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliqueforge.graphs import union
-from cliqueforge.randgraphs import _below, bernoulli, gnd, gnp, slice_graph, stream
+from cliqueforge.randgraphs import _below, gnd, gnp, slice_graph, stream
 
 
 # ===================================================================
@@ -65,12 +65,6 @@ def test_below_refuses_an_empty_range(m):
         _below(stream(1, "below"))(m)
 
 
-def test_bernoulli_degenerate_probabilities():
-    rng = stream(1, "coins")
-    assert not any(bernoulli(rng, Fraction(0)) for _ in range(50))
-    assert all(bernoulli(rng, Fraction(1)) for _ in range(50))
-
-
 # ===================================================================
 # G(n, p)
 # ===================================================================
@@ -112,7 +106,7 @@ def test_gnp_edge_count_is_plausible():
 
 def test_slice_partitions_the_graph():
     g = gnp(40, Fraction(1, 2), 3)
-    g1, g2 = slice_graph(g, Fraction(1, 4), Fraction(1, 2), 11)
+    g1, g2 = slice_graph(g, Fraction(1, 2), 11)
     assert not g1.edges & g2.edges
     assert union(g1, g2).edges == g.edges
     assert g1.n == g2.n == g.n
@@ -120,18 +114,18 @@ def test_slice_partitions_the_graph():
 
 def test_slice_extremes_and_errors():
     g = gnp(20, Fraction(1, 2), 3)
-    keep, rest = slice_graph(g, Fraction(1, 2), Fraction(1, 2), 4)
+    keep, rest = slice_graph(g, 1, 4)
     assert keep.edges == g.edges and rest.m == 0
-    none, rest = slice_graph(g, 0, Fraction(1, 2), 4)
+    none, rest = slice_graph(g, 0, 4)
     assert none.m == 0 and rest.edges == g.edges
     with pytest.raises(ValueError):
-        slice_graph(g, Fraction(2, 3), Fraction(1, 2), 4)
+        slice_graph(g, Fraction(4, 3), 4)
 
 
 def test_slice_depends_only_on_edges_and_seed():
     g = gnp(25, Fraction(1, 2), 8)
-    a1, _ = slice_graph(g, Fraction(1, 4), Fraction(1, 2), 13)
-    a2, _ = slice_graph(g, Fraction(1, 4), Fraction(1, 2), 13)
+    a1, _ = slice_graph(g, Fraction(1, 2), 13)
+    a2, _ = slice_graph(g, Fraction(1, 2), 13)
     assert a1 == a2
 
 
