@@ -34,9 +34,14 @@ each with one Dinkelbach warm-started at the best lam so far.  Only the
 (floor(lam) + 1)-core is searched: if S beats lam >= 0 and some x in S
 has degree d <= lam inside S, then |S| >= 4 (three vertices that beat
 lam have minimum degree above lam), and dropping x keeps the ratio at
-least as high, because (e(S) - 1) / (|S| - 2) > d.  The cost is one
-warm-started Dinkelbach per core edge, usually a single min cut on at
-most v(H) nodes; no step enumerates subsets and no size is capped.
+least as high, because (e(S) - 1) / (|S| - 2) > d.  The search that
+pins uv (u < v) takes its free vertices from the core vertices above u
+alone: a vertex below u has had every edge pinned or skipped, and a set
+holding one cannot beat the lam those searches reached, so each
+Dinkelbach step finds the same least maximiser as over the whole core
+(the argument is in _pinned_search).  The cost is one warm-started
+Dinkelbach per core edge, usually a single min cut on the core vertices
+above u; no step enumerates subsets and no size is capped.
 
 Witnesses are deterministic.  The rooted witness is R plus the last
 source side that raised lam, which is the least maximiser at the lam
@@ -223,6 +228,21 @@ def _dinkelbach(nbrs, root_deg, lam: Fraction, witness):
 def _pinned_search(g: Graph, lam: Fraction, witness):
     """Best (e(S) - 1) / (|S| - 2) over sets S that beat lam, pinning each edge.
 
+    Edges run in sorted order, and the search that pins uv (u < v) takes
+    its free vertices only from the alive vertices above u.  Each
+    Dinkelbach step still returns the least maximiser T of
+    e(T u {u, v}) - lam |T| over all alive vertices, so values and
+    witnesses are those of the unrestricted search.  Every vertex of T
+    has more than lam >= 0 neighbours in S = T u {u, v} (lam >= 0 once
+    there is an edge), or dropping it would not lower the objective.
+    Were the least vertex w of T below u, it would have a neighbour y in
+    S, y > w, so the edge wy came before uv.  Both were alive then, since
+    alive only shrinks, and S lies in that search's domain, so it raised
+    lam to at least the ratio of S, and S cannot beat lam now.  The
+    excluded vertices stay in alive and in its core peeling, so the same
+    edges are searched or skipped; dropping them from alive would change
+    the core, and nothing then shows the witnesses stay the same.
+
     Returns (lam, witness), unchanged when no set beats lam.
     """
     adj = g.adjacency()
@@ -234,7 +254,8 @@ def _pinned_search(g: Graph, lam: Fraction, witness):
             _peel_to_core(adj, alive, k)
         if u not in alive or v not in alive:
             continue
-        free = alive - {u, v}
+        free = {x for x in alive if x > u}
+        free.discard(v)
         nbrs = {x: adj[x] & free for x in free}
         root_deg = {x: (u in adj[x]) + (v in adj[x]) for x in free}
         best, t = _dinkelbach(nbrs, root_deg, lam, None)

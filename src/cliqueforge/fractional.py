@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import Graph, _check_q, _content_lines, _parse_ints
+from .randgraphs import _threshold
 
 __all__ = [
     "EdgeGadget",
@@ -443,8 +444,7 @@ def sample_regular_cliques(w: CliqueWeighting, big_d, rng) -> SampleResult:
         probs[c] = p
     selected = []
     for c, p in probs.items():
-        threshold = (p.numerator << 64) // p.denominator
-        if rng.getrandbits(64) < threshold:
+        if rng.getrandbits(64) < _threshold(p):
             selected.append(c)
     degrees: dict[tuple[int, int], int] = {}
     for c in selected:

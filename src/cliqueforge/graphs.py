@@ -93,8 +93,14 @@ class Graph:
         return len(self.adjacency()[v])
 
     def degrees(self) -> list[int]:
-        adj = self.adjacency()
-        return [len(adj[v]) for v in range(self.n)]
+        """Degrees by vertex, counted off the edges unless adjacency is cached."""
+        if self._adj is not None:
+            return [len(self._adj[v]) for v in range(self.n)]
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges

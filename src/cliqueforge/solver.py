@@ -64,10 +64,16 @@ class SolveBudget:
 
 
 def enumerate_cliques(g: Graph, q: int) -> list[tuple[int, ...]]:
-    """All q-cliques as sorted tuples, in lexicographic order."""
+    """All q-cliques as sorted tuples, in lexicographic order.
+
+    Reads only the upper neighbours up[v] = {w > v : vw in E}, built
+    here from the edges, so g's full adjacency sets are never built.
+    """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    adj = g.adjacency()
+    up: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        up[u].add(v)
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], cands: list[int]) -> None:
@@ -80,11 +86,11 @@ def enumerate_cliques(g: Graph, q: int) -> list[tuple[int, ...]]:
         for i, v in enumerate(cands):
             if len(cands) - i < need:
                 break
-            av = adj[v]
-            extend(prefix + (v,), [w for w in cands[i + 1 :] if w in av])
+            uv = up[v]
+            extend(prefix + (v,), [w for w in cands[i + 1 :] if w in uv])
 
     for v in range(g.n):
-        extend((v,), sorted(w for w in adj[v] if w > v))
+        extend((v,), sorted(up[v]))
     return out
 
 

@@ -3,9 +3,11 @@
 Everything here recomputes results from first principles by exhaustive
 enumeration, so it stays trivially auditable; the exceptions are
 reference_exact_cover, Algorithm X over plain sets, solved_edge_gadget,
-Gauss-Jordan over the full load system, and reference_boost, the plain
-Fraction form of the fractional boost.
-Nothing is imported from the package beyond the Graph container itself.
+Gauss-Jordan over the full load system, reference_boost, the plain
+Fraction form of the fractional boost, and reference_pinned_search, the
+pinned 2-density search with every alive vertex free.
+Nothing is imported from the package beyond the Graph container itself,
+save the min cut and core peeling that reference_pinned_search drives.
 """
 
 from collections import Counter
@@ -13,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
+from cliqueforge.density import _dinkelbach, _peel_to_core
 from cliqueforge.graphs import Graph
 
 
@@ -69,6 +72,28 @@ def brute_2_density(g: Graph) -> Fraction:
 
 def brute_rooted_2_density(g: Graph, roots) -> Fraction:
     return max(brute_rooted_density(g, roots), brute_2_density(g))
+
+
+def reference_pinned_search(g: Graph, lam: Fraction, witness):
+    """density._pinned_search with every alive vertex free: the search
+    that pins uv runs over all of alive - {u, v}, not only the vertices
+    above u.  Returns (lam, witness), unchanged when no set beats lam."""
+    adj = g.adjacency()
+    alive = set(range(g.n))
+    k = 0
+    for u, v in g.sorted_edges():
+        if math.floor(lam) + 1 > k:
+            k = math.floor(lam) + 1
+            _peel_to_core(adj, alive, k)
+        if u not in alive or v not in alive:
+            continue
+        free = alive - {u, v}
+        nbrs = {x: adj[x] & free for x in free}
+        root_deg = {x: (u in adj[x]) + (v in adj[x]) for x in free}
+        best, t = _dinkelbach(nbrs, root_deg, lam, None)
+        if t is not None:
+            lam, witness = best, tuple(sorted(t | {u, v}))
+    return lam, witness
 
 
 # ===================================================================

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cliqueforge.density import (
+    DensityValue,
     check_concatenation,
     evaluate_rooted_ratio,
     evaluate_two_density_ratio,
@@ -25,8 +25,9 @@ from cliqueforge.density import (
     rooted_2_density,
     rooted_degeneracy,
 )
-from cliqueforge.gadgets import anti_edge, fake_edge
+from cliqueforge.gadgets import anti_edge, fake_edge, star_transformer
 from cliqueforge.graphs import Graph
+from cliqueforge.randgraphs import gnp
 
 from conftest import graphs
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     path_graph,
+    reference_pinned_search,
 )
 
 
@@ -98,6 +100,64 @@ def test_witness_kind_prefers_rooted_on_ties():
     got = rooted_2_density(g, gad.roots)
     assert got.value == Fraction(5, 2)
     assert got.kind == "rooted"
+
+
+# ===================================================================
+# Pinned search against the search with every alive vertex free
+# ===================================================================
+
+
+def reference_max_2_density(g):
+    start = Fraction(g.m - 1, g.n - 2)
+    lam, witness = reference_pinned_search(g, start, tuple(range(g.n)))
+    return DensityValue(lam, witness, "two_density")
+
+
+def reference_rooted_2_density(g, roots):
+    rooted = max_rooted_density(g, roots)
+    lam, witness = reference_pinned_search(g, rooted.value, None)
+    if witness is None:
+        return rooted
+    return DensityValue(lam, witness, "two_density")
+
+
+def assert_matches_reference(g, roots):
+    """Value, witness and kind of both functionals equal the reference's,
+    rooted_2_density both unrooted and at roots."""
+    assert max_2_density(g) == reference_max_2_density(g)
+    assert rooted_2_density(g, []) == reference_rooted_2_density(g, [])
+    if roots:
+        assert rooted_2_density(g, roots) == reference_rooted_2_density(g, roots)
+
+
+@given(graphs(12, min_n=3))
+@settings(max_examples=300, deadline=None)
+def test_pinned_search_matches_reference(g):
+    roots = independent_roots(g)
+    assert_matches_reference(g, roots if len(roots) == 2 else None)
+
+
+@pytest.mark.parametrize("n, p", [(10, Fraction(1, 2)), (12, Fraction(1, 2)), (12, Fraction(3, 4))])
+def test_pinned_search_matches_reference_on_dense_graphs(n, p):
+    for seed in range(20):
+        g = gnp(n, p, seed)
+        roots = independent_roots(g)
+        assert_matches_reference(g, roots if len(roots) == 2 else None)
+
+
+@pytest.mark.parametrize("build, q", [
+    *((anti_edge, q) for q in range(3, 7)),
+    *((fake_edge, q) for q in range(3, 7)),
+])
+def test_pinned_search_matches_reference_on_gadgets(build, q):
+    gad = build(q)
+    assert_matches_reference(gad.graph, gad.roots)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_pinned_search_matches_reference_on_transformers(q):
+    t = star_transformer(q)
+    assert_matches_reference(t.t, t.roots)
 
 
 # ===================================================================

@@ -52,6 +52,16 @@ def test_isolated_vertices_carry_degree_zero():
     assert g.degrees() == [1, 1, 0, 0, 0]
 
 
+@given(graphs(10))
+@settings(max_examples=100, deadline=None)
+def test_degrees_with_and_without_cached_adjacency(g):
+    fresh = Graph(g.n, g.edges)
+    counted = fresh.degrees()
+    assert fresh._adj is None
+    adj = fresh.adjacency()
+    assert counted == [len(adj[v]) for v in range(g.n)] == fresh.degrees()
+
+
 def test_edge_key_orders_and_rejects_loop():
     assert edge_key(5, 2) == (2, 5)
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from cliqueforge.graphs import (
     Packing,
     is_kq_divisible,
     optimal_leave_number,
-    union,
     verify_packing,
 )
 from cliqueforge.pipeline import (

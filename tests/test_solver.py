@@ -50,6 +50,22 @@ def test_enumerate_cliques_matches_oracle(g, q):
     assert got == sorted(got)
 
 
+@given(graphs(10), st.integers(3, 5))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_and_divisibility_leave_adjacency_unbuilt(g, q):
+    fresh = Graph(g.n, g.edges)
+    assert enumerate_cliques(fresh, q) == brute_cliques(g, q)
+    is_kq_divisible(fresh, q)
+    assert fresh._adj is None
+
+
+def test_exact_decomposition_leaves_adjacency_unbuilt():
+    b = anti_clique_absorber(3)
+    host = union(b.l, b.a)
+    assert exact_decomposition(host, 3).status == "found"
+    assert host._adj is None
+
+
 def test_enumerate_cliques_counts_on_k6():
     g = complete_graph(6)
     assert len(enumerate_cliques(g, 3)) == 20
