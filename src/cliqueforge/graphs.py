@@ -93,9 +93,7 @@ class Graph:
         return len(self.adjacency()[v])
 
     def degrees(self) -> list[int]:
-        """Degrees by vertex, counted off the edges unless adjacency is cached."""
-        if self._adj is not None:
-            return [len(self._adj[v]) for v in range(self.n)]
+        """Degrees by vertex, counted off the edges."""
         deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1

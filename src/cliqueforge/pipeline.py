@@ -549,9 +549,9 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
     shift.  Gives up gracefully; the caller just keeps a larger leave.
     """
     edges = set(g.edges)
-    deg = g.degrees()
     deleted: list[tuple[int, int]] = []
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
+    deg = [len(adj[v]) for v in range(g.n)]
 
     def drop(u, w):
         _drop_edge(adj, deg, edges, deleted, u, w)

@@ -75,23 +75,26 @@ def enumerate_cliques(g: Graph, q: int) -> list[tuple[int, ...]]:
     for u, v in g.edges:
         up[u].add(v)
     out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], cands: list[int]) -> None:
-        """The cliques that extend prefix by vertices of cands (common
-        neighbours of prefix, all above it, ascending)."""
-        if len(prefix) == q - 1:
-            out.extend([prefix + (w,) for w in cands])
-            return
-        need = q - len(prefix)
-        for i, v in enumerate(cands):
-            if len(cands) - i < need:
-                break
-            uv = up[v]
-            extend(prefix + (v,), [w for w in cands[i + 1 :] if w in uv])
-
     for v in range(g.n):
-        extend((v,), sorted(up[v]))
+        _extend_cliques(up, q, out, (v,), sorted(up[v]))
     return out
+
+
+def _extend_cliques(up, q, out, prefix, cands) -> None:
+    """Append to out the q-cliques that extend prefix by vertices of
+    cands (common upper neighbours of prefix, ascending).  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep up alive until the next garbage collection.
+    """
+    if len(prefix) == q - 1:
+        out.extend([prefix + (w,) for w in cands])
+        return
+    need = q - len(prefix)
+    for i, v in enumerate(cands):
+        if len(cands) - i < need:
+            break
+        uv = up[v]
+        _extend_cliques(up, q, out, prefix + (v,), [w for w in cands[i + 1 :] if w in uv])
 
 
 class CliqueIndex:

@@ -148,16 +148,12 @@ def test_pinned_search_matches_reference_on_dense_graphs(n, p):
 @pytest.mark.parametrize("build, q", [
     *((anti_edge, q) for q in range(3, 7)),
     *((fake_edge, q) for q in range(3, 7)),
+    *((star_transformer, q) for q in range(3, 6)),
 ])
 def test_pinned_search_matches_reference_on_gadgets(build, q):
-    gad = build(q)
-    assert_matches_reference(gad.graph, gad.roots)
-
-
-@pytest.mark.parametrize("q", [3, 4, 5])
-def test_pinned_search_matches_reference_on_transformers(q):
-    t = star_transformer(q)
-    assert_matches_reference(t.t, t.roots)
+    made = build(q)
+    graph = made.t if build is star_transformer else made.graph
+    assert_matches_reference(graph, made.roots)
 
 
 # ===================================================================

@@ -1,5 +1,6 @@
 """Exact search: clique enumeration, decomposition, minimum leave."""
 
+import gc
 import inspect
 import sys
 from itertools import combinations
@@ -64,6 +65,18 @@ def test_exact_decomposition_leaves_adjacency_unbuilt():
     host = union(b.l, b.a)
     assert exact_decomposition(host, 3).status == "found"
     assert host._adj is None
+
+
+def test_enumerate_cliques_leaves_no_garbage_cycle():
+    # its working sets must go on return, not at the next collection
+    g = complete_graph(8)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_cliques(g, 4)) == 70
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_cliques_counts_on_k6():
