@@ -878,9 +878,12 @@ def bench(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    name, value = ("p", p) if kind == "gnp" else ("d", d)
-    if value is None:
+    model = {"p": p, "d": d}
+    name, other = ("p", "d") if kind == "gnp" else ("d", "p")
+    if model[name] is None:
         raise ValueError(f"kind {kind} needs {name}")
+    if model[other] is not None:
+        raise ValueError(f"kind {kind} takes no {other}")
     seeds = [stream(master_seed, "trial", i).getrandbits(63) for i in range(trials)]
 
     def run(s):

@@ -6,8 +6,11 @@ the result of making that call directly.  Exit code conventions:
 0 success, 1 domain failure, 2 usage error (argparse SystemExit).
 """
 
+import argparse
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from cliqueforge.fixers import FixerBlueprint, apply_fixer, inductive_select, re
 from cliqueforge.fractional import (
     edge_gadget,
     fractional_kq_decomposition,
+    fractional_problems,
     parse_weighting,
     sample_regular_cliques,
     serialize_weighting,
@@ -307,6 +311,14 @@ def test_fixer_build_without_output_is_a_usage_error(capsys):
     usage_error(["fixer", "build", "--q", "3"], capsys)
 
 
+def test_fixer_build_refuses_an_embedding_file_under_json(tmp_path, capsys):
+    # the JSON document already holds the embedding
+    emb = tmp_path / "emb.json"
+    err = usage_error(["fixer", "build", "--q", "3", "--json", "--emb", str(emb)], capsys)
+    assert "--emb" in err
+    assert not emb.exists()
+
+
 def test_fixer_select_prints_the_copy_counts(capsys):
     rc, stdout, _ = run(
         ["fixer", "select", "--q", "3", "--n", "6", "--m", "2", "--degrees", "0,1,1,0,0,0"],
@@ -447,6 +459,23 @@ def test_fractional_boost_verify_sample_flow(tmp_path, capsys):
     w = parse_weighting(wfile.read_text())
     want = sample_regular_cliques(w, Fraction(5), stream(3, "sample"))
     assert stdout == f"selected={len(want.selected)} max_deviation={want.max_deviation}\n"
+
+
+@pytest.mark.parametrize("n, p, seed, want", [(10, "9/10", 1, 0), (8, "3/4", 10, 1)])
+def test_fractional_boost_exits_0_exactly_on_a_decomposition(tmp_path, capsys, n, p, seed, want):
+    # gnp(10, 9/10, 1) boosts to max_deviation 27/70 with every weight
+    # nonnegative; gnp(8, 3/4, 10) boosts to two negative weights
+    g = gnp(n, Fraction(p), seed)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(serialize_graph(g))
+    wfile = tmp_path / "w.txt"
+    rc, _, _ = run(["fractional", "boost", "--in", str(gfile), "--q", "3", "-o", str(wfile)], capsys)
+    assert rc == want
+    problems = fractional_problems(g, parse_weighting(wfile.read_text()), "decomposition")
+    assert rc == (1 if problems else 0)
+    argv = ["fractional", "verify", "--graph", str(gfile), "--weights", str(wfile),
+            "--mode", "decomposition"]
+    assert run(argv, capsys)[0] == want
 
 
 def test_fractional_boost_reports_domain_failure(tmp_path, capsys):
@@ -591,6 +620,16 @@ def test_bench_gnp_without_p_is_a_usage_error(capsys):
     usage_error(["bench", "--kind", "gnp", "--n", "10", "--q", "3", "--trials", "1", "--seed", "1"], capsys)
 
 
+@pytest.mark.parametrize("kind, extra, other", [
+    ("gnd", ["--d", "4", "--p", "1/2"], "p"),
+    ("gnp", ["--p", "1/2", "--d", "4"], "d"),
+])
+def test_bench_refuses_the_other_models_parameter(capsys, kind, extra, other):
+    argv = ["bench", "--kind", kind, "--n", "10", "--q", "3", "--trials", "1", "--seed", "1"]
+    err = usage_error(argv + extra, capsys)
+    assert f"bench --kind {kind} takes no --{other}" in err
+
+
 # ===================================================================
 # error plumbing
 # ===================================================================
@@ -600,6 +639,13 @@ def test_unreadable_input_is_a_domain_error(capsys):
     rc, _, stderr = run(["density", "--in", "/nonexistent/graph.txt"], capsys)
     assert rc == 1
     assert stderr.startswith("error: cannot read")
+
+
+def test_unwritable_output_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.txt"
+    rc, stdout, stderr = run(["gen", "gnp", "--n", "5", "--p", "1/2", "--seed", "1", "-o", str(out)], capsys)
+    assert rc == 1 and stdout == ""
+    assert stderr.startswith(f"seed 1\nerror: cannot write {out}:")
 
 
 def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys):
@@ -664,3 +710,143 @@ def test_embedding_missing_its_order_is_a_domain_error(tmp_path, capsys):
     emb_f.write_text(json.dumps(doc))
     argv = ["fixer", "apply", "--graph", str(host_f), "--emb", str(emb_f)]
     assert "order" in domain_error(argv, capsys, emb_f)
+
+
+# ===================================================================
+# one output rule: -o FILE holds what the subcommand prints
+# ===================================================================
+
+
+def parser_leaves(parser, prefix=()):
+    """{"gen gnp": its subparser, ...} for every leaf of the parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(prefix): parser}
+    leaves = {}
+    for name, sp in subs[0].choices.items():
+        leaves.update(parser_leaves(sp, prefix + (name,)))
+    return leaves
+
+
+# one invocation of every leaf; {name} is an input file of `inputs`
+LEAF_ARGV = {
+    "gen gnp": ["gen", "gnp", "--n", "9", "--p", "1/3", "--seed", "1"],
+    "gen gnd": ["gen", "gnd", "--n", "8", "--d", "3", "--seed", "2"],
+    "gadget anti-edge": ["gadget", "anti-edge", "--q", "3"],
+    "gadget fake-edge": ["gadget", "fake-edge", "--q", "3"],
+    "gadget nabla": ["gadget", "nabla", "--q", "3", "--base", "{c6}"],
+    "gadget transformer": ["gadget", "transformer", "--q", "3"],
+    "gadget absorber": ["gadget", "absorber", "--q", "3"],
+    "density": ["density", "--in", "{c6}", "--roots", "0,3"],
+    "fixer build": ["fixer", "build", "--q", "3"],
+    "fixer select": ["fixer", "select", "--q", "3", "--n", "6", "--m", "2", "--degrees", "0,1,1,0,0,0"],
+    "fixer apply": ["fixer", "apply", "--graph", "{host}", "--emb", "{emb}"],
+    "pack gnp": ["pack", "gnp", "--n", "12", "--p", "1/2", "--q", "3", "--seed", "1"],
+    "pack gnd": ["pack", "gnd", "--n", "10", "--d", "4", "--q", "3", "--seed", "1"],
+    "fractional gadget": ["fractional", "gadget", "--q", "3"],
+    "fractional boost": ["fractional", "boost", "--in", "{k7}", "--q", "3"],
+    "fractional verify": ["fractional", "verify", "--graph", "{k7}", "--weights", "{w}",
+                          "--mode", "decomposition"],
+    "fractional sample": ["fractional", "sample", "--weights", "{w}", "--big-d", "5", "--seed", "3"],
+    "verify packing": ["verify", "packing", "--graph", "{k7}", "--packing", "{pk}"],
+    "verify decomposition": ["verify", "decomposition", "--graph", "{k7}", "--packing", "{pk}"],
+    "verify transformer": ["verify", "transformer", "--in", "{t}"],
+    "verify absorber": ["verify", "absorber", "--in", "{a}"],
+    "verify omni": ["verify", "omni", "--x", "{c6}", "--absorber", "{oa}", "--q", "3"],
+    "bench": ["bench", "--kind", "gnp", "--n", "10", "--q", "3", "--trials", "1", "--p", "1/2",
+              "--seed", "1"],
+}
+
+# the leaves whose -o is an artifact, with that artifact for LEAF_ARGV
+ARTIFACTS = {
+    "fixer apply": lambda: serialize_graph(apply_fixer(*realize_fixer(3, 10)).graph),
+    "pack gnp": lambda: serialize_packing(pack_gnp(12, Fraction(1, 2), 3, 1).packing),
+    "pack gnd": lambda: serialize_packing(pack_gnd(10, 4, 3, 1).packing),
+    "fractional boost": lambda: serialize_weighting(
+        fractional_kq_decomposition(complete_graph(7), 3).weighting
+    ),
+}
+
+# fixer build needs -o in text mode; bench reports only JSON and has no --json
+OUT_CASES = [
+    (leaf, flags)
+    for leaf in LEAF_ARGV
+    for flags in ([], ["--json"])
+    if (leaf, flags) not in (("fixer build", []), ("bench", ["--json"]))
+]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    k7 = complete_graph(7)
+    host, emb = realize_fixer(3, 10)
+    texts = {
+        "c6": serialize_graph(cycle_graph(6)),
+        "k7": serialize_graph(k7),
+        "pk": serialize_packing(min_leave_packing(k7, 3).packing),
+        "w": serialize_weighting(fractional_kq_decomposition(k7, 3).weighting),
+        "host": serialize_graph(host),
+        "emb": emb.to_json(),
+        "oa": serialize_graph(naive_omni_absorber(cycle_graph(6)).a),
+    }
+    for name, obj in (("t", star_transformer(3, 2)), ("a", anti_clique_absorber(3, 2))):
+        graph, sidecar = serialize_bundle(obj)
+        texts[name] = serialize_graph(graph)
+        (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in texts}
+
+
+def without_wall_time(stdout: str) -> str:
+    # a pack report's wall time is its one nondeterministic field
+    return re.sub(r'"ms": \d+', '"ms": 0', stdout)
+
+
+def test_every_leaf_takes_o_and_has_an_out_case():
+    leaves = parser_leaves(cli.build_parser())
+    assert set(LEAF_ARGV) == set(leaves)
+    assert all("-o" in sp._option_string_actions for sp in leaves.values())
+
+
+@pytest.mark.parametrize(
+    "leaf, flags",
+    OUT_CASES,
+    ids=[leaf.replace(" ", "-") + ("-json" if flags else "-text") for leaf, flags in OUT_CASES],
+)
+def test_out_file_holds_exactly_what_the_leaf_prints(tmp_path, capsys, inputs, leaf, flags):
+    argv = [a.format(**inputs) for a in LEAF_ARGV[leaf]] + flags
+    rc, printed, err = run(argv, capsys)
+    out = tmp_path / "out"
+    rc_o, stdout, err_o = run(argv + ["-o", str(out)], capsys)
+    assert (rc_o, err_o) == (rc, err)
+    if leaf in ARTIFACTS:
+        assert without_wall_time(stdout) == without_wall_time(printed)
+        assert out.read_text() == ARTIFACTS[leaf]()
+    else:
+        assert stdout == ""
+        assert out.read_bytes() == printed.encode()
+
+
+# ===================================================================
+# the parser and the docs list the same subcommands
+# ===================================================================
+
+
+def expand(spec: str) -> set[str]:
+    """"gen gnp|gnd" -> {"gen gnp", "gen gnd"}; "bench" -> {"bench"}."""
+    group, _, leaves = spec.partition(" ")
+    return {f"{group} {leaf}" for leaf in leaves.split("|")} if leaves else {group}
+
+
+def test_docstring_and_readme_list_the_parser_leaves():
+    leaves = set(parser_leaves(cli.build_parser()))
+
+    block = cli.__doc__.split("-----------\n", 1)[1].split("\n\n", 1)[0]
+    specs = [re.split(r"\s{2,}", line)[0] for line in block.splitlines() if not line.startswith(" ")]
+    assert set().union(*map(expand, specs)) == leaves
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\nSubcommands:\n", 1)[1].split("\n## ", 1)[0]
+    specs = [s.replace("\\|", "|") for s in re.findall(r"^\| `([^`]+)` \|", table, re.M)]
+    assert set().union(*map(expand, specs)) == leaves

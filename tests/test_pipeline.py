@@ -581,6 +581,12 @@ def test_bench_refuses_a_missing_model_parameter(kind, name):
         bench(kind, 20, 3, 2, 1)
 
 
+@pytest.mark.parametrize("kind, other", [("gnp", "d"), ("gnd", "p")])
+def test_bench_refuses_the_other_models_parameter(kind, other):
+    with pytest.raises(ValueError, match=f"kind {kind} takes no {other}"):
+        bench(kind, 20, 3, 2, 1, p=Fraction(1, 2), d=4)
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_bench_refuses_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads must be positive"):
