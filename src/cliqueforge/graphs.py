@@ -50,11 +50,16 @@ class Graph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        """Validate every edge; an already-sorted tuple is stored as given."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         es = set()
-        for u, v in edges:
-            e = edge_key(u, v)
+        for e in edges:
+            u, v = e
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (u < v and type(e) is tuple):
+                e = (u, v) if u < v else (v, u)
             if not (0 <= e[0] and e[1] < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             es.add(e)
@@ -120,8 +125,20 @@ def union(*graphs: Graph, expect_edge_disjoint: bool = False) -> Graph:
 
 
 def subtract(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
+    """G minus the given edges (in either orientation)."""
     drop = {edge_key(u, v) for u, v in edges}
-    return Graph(g.n, g.edges - drop)
+    return _spanning_subgraph(g, g.edges - drop)
+
+
+def _spanning_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on g's vertices with edges, which must be a subset of
+    g.edges: every such edge was validated when g was built, so none is
+    checked again."""
+    h = Graph.__new__(Graph)
+    h.n = g.n
+    h.edges = frozenset(edges)
+    h._adj = None
+    return h
 
 
 # ===================================================================
@@ -274,7 +291,7 @@ def verify_packing(g: Graph, p: Packing) -> PackingReport:
                     problems.append(f"edge {e} covered twice (clique {c})")
                 else:
                     seen.add(e)
-    leave = Graph(g.n, g.edges - seen)
+    leave = _spanning_subgraph(g, g.edges - seen)
     return PackingReport(not problems, len(seen), leave, problems)
 
 

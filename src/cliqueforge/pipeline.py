@@ -30,7 +30,13 @@ from fractions import Fraction
 
 from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
 from .gadgets import anti_edge, nabla_expansion
-from .graphs import Graph, Packing, optimal_leave_number, verify_packing
+from .graphs import (
+    Graph,
+    Packing,
+    _spanning_subgraph,
+    optimal_leave_number,
+    verify_packing,
+)
 from .randgraphs import _below, gnd, gnp, slice_graph, stream
 from .solver import CliqueIndex, enumerate_cliques, min_leave_packing
 
@@ -457,7 +463,7 @@ def embed_fixer(
         raise EmbedFailure(
             f"gadget pool has {gadget_pool.m} edges, {len(keys)} gadgets need {need}"
         )
-    body = Graph(g.n, g.edges - gadget_pool.edges)
+    body = _spanning_subgraph(g, g.edges - gadget_pool.edges)
     demand = (t - 1) * (q * (q - 1) - 1) + 2
     prefixes = _fat_prefixes(body, gadget_pool, t, demand)
     per = max(4, HAMILTON_TRIES // max(1, len(prefixes)))
@@ -493,13 +499,16 @@ def embed_fixer(
         ru, rv = order[u], order[v]
         placed = None
         # a failed try gives back exactly the edges it took, so every try
-        # draws its hubs from the same pool; a pool short of q - 2 hubs
-        # gets no try
+        # draws its hubs from the same pool, and hubs that failed once
+        # would fail again: they are still drawn, so the draws stay those
+        # of a try each, but not tried; a pool short of q - 2 hubs gets
+        # no try
         hub_pool = sorted(
             (w for w in range(g.n) if w not in (ru, rv) and len(avail[w]) >= q),
             key=lambda w: -len(avail[w]),
         )[: 6 * q]
         tries = GADGET_TRIES if len(hub_pool) >= q - 2 else 0
+        tried: set[tuple[int, ...]] = set()
         for _ in range(tries):
             mp = {0: ru, 1: rv}
             hubs: list[int] = []
@@ -507,6 +516,9 @@ def embed_fixer(
                 w = hub_pool[rng.randrange(len(hub_pool))]
                 if w not in hubs:
                     hubs.append(w)
+            if tuple(hubs) in tried:
+                continue
+            tried.add(tuple(hubs))
             mp.update(zip(range(2, q), hubs))
             banned = set(mp.values())
             taken_edges: list[tuple[int, int]] = []
@@ -607,7 +619,7 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
             _drop_cycle_mod(adj, deg, edges, deleted, r)
         else:
             _drop_half_period(adj, deg, edges, deleted, q, rng)
-    return Graph(g.n, edges), deleted
+    return _spanning_subgraph(g, edges), deleted
 
 
 def _drop_edge(adj, deg, edges, deleted, u, w):
@@ -795,7 +807,7 @@ def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
         fixer_mode = "deletion"
 
     # (iii) reserve slice from the non-fixer part
-    pool = Graph(g.n, base.edges - fixer_edges)
+    pool = _spanning_subgraph(base, base.edges - fixer_edges)
     x_res, main = slice_graph(pool, RESERVE_FRAC, seed ^ 0x72657376)
 
     # (iv) + (v) nibble on the main slice A, completion through reserve
@@ -819,7 +831,7 @@ def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
     _polish(index, chosen, used, stream(seed, "walk"), WALK_STEPS * g.m)
     deleted = [e for e in deleted if ids[e] not in used]
     stages["fixer_deleted"] = len(deleted)
-    base = Graph(g.n, g.edges - set(deleted)) if deleted else g
+    base = _spanning_subgraph(g, g.edges.difference(deleted)) if deleted else g
 
     per = q * (q - 1) // 2
     reserve_ids = set(match.reserve_cliques)

@@ -15,10 +15,11 @@ claimed.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 from fractions import Fraction
 
-from .graphs import Graph
+from .graphs import Graph, _spanning_subgraph
 
 __all__ = ["stream", "gnp", "slice_graph", "gnd"]
 
@@ -87,8 +88,8 @@ def slice_graph(g: Graph, frac, seed: int) -> tuple[Graph, Graph]:
     threshold = _threshold(_as_probability(frac))
     rng = stream(seed, "slice")
     kept = [e for e in g.sorted_edges() if rng.getrandbits(64) < threshold]
-    first = Graph(g.n, kept)
-    return first, Graph(g.n, g.edges - first.edges)
+    first = _spanning_subgraph(g, kept)
+    return first, _spanning_subgraph(g, g.edges - first.edges)
 
 
 def gnd(n: int, d: int, seed: int) -> Graph:
@@ -113,28 +114,64 @@ def gnd(n: int, d: int, seed: int) -> Graph:
 
 
 def _repair(pairs: list[tuple[int, int]], rng: random.Random) -> bool:
-    """Switch away loops and duplicates in place; False when stuck."""
+    """Switch away loops and duplicates in place; False when stuck.
 
-    def key(i):
-        u, v = pairs[i]
-        return (u, v) if u < v else (v, u)
-
+    A pair is bad while it is a loop or its key is held by another pair
+    too.  Each round switches the least bad pair i with a uniform
+    partner j into (u, a), (v, b), accepted only when both are simple
+    and fresh.  Fresh pairs are never bad, so pairs only ever leave the
+    bad set: the least one comes off a heap, skipping those that left,
+    and a switch frees only the twin it leaves alone on an old key of
+    i or j.  So a round costs a heap step, not a scan of the bad set.
+    """
     counts: dict[tuple[int, int], int] = {}
-    bad: set[int] = set()
+    for u, v in pairs:
+        if u != v:
+            k = (u, v) if u < v else (v, u)
+            counts[k] = counts.get(k, 0) + 1
+    bad = bytearray(len(pairs))
+    holders: dict[tuple[int, int], list[int]] = {}  # duplicated key -> its pairs
     for i, (u, v) in enumerate(pairs):
         if u == v:
-            bad.add(i)
+            bad[i] = 1
         else:
-            counts[key(i)] = counts.get(key(i), 0) + 1
-    for i in range(len(pairs)):
-        if pairs[i][0] != pairs[i][1] and counts[key(i)] > 1:
-            bad.add(i)
+            k = (u, v) if u < v else (v, u)
+            if counts[k] > 1:
+                bad[i] = 1
+                holders.setdefault(k, []).append(i)
+    heap = [i for i, b in enumerate(bad) if b]  # ascending, so a heap
+    left = len(heap)
 
-    budget = 200 * max(len(pairs), 1)
-    while bad and budget:
+    def release(i, u, v):
+        """Take the old pair (u, v) of index i out of the counts."""
+        nonlocal left
+        if u == v:
+            return
+        k = (u, v) if u < v else (v, u)
+        c = counts[k] - 1
+        if c:
+            counts[k] = c
+        else:
+            del counts[k]
+        held = holders.get(k)
+        if held is not None:
+            held.remove(i)
+            if len(held) == 1:
+                twin = held[0]
+                del holders[k]
+                if bad[twin]:
+                    bad[twin] = 0
+                    left -= 1
+
+    below = _below(rng)
+    m = len(pairs)
+    budget = 200 * max(m, 1)
+    while left and budget:
         budget -= 1
-        i = min(bad)
-        j = rng.randrange(len(pairs))
+        while not bad[heap[0]]:
+            heapq.heappop(heap)
+        i = heap[0]
+        j = below(m)
         if j == i:
             continue
         u, v = pairs[i]
@@ -144,21 +181,16 @@ def _repair(pairs: list[tuple[int, int]], rng: random.Random) -> bool:
             continue
         new1 = (u, a) if u < a else (a, u)
         new2 = (v, b) if v < b else (b, v)
-        if new1 == new2 or counts.get(new1, 0) or counts.get(new2, 0):
+        if new1 == new2 or new1 in counts or new2 in counts:
             continue
-        # remove both old pairs from the counts, then re-add the new ones
         for idx in (i, j):
-            u0, v0 = pairs[idx]
-            if u0 != v0:
-                counts[key(idx)] -= 1
+            if bad[idx]:
+                bad[idx] = 0
+                left -= 1
+        release(i, u, v)
+        release(j, a, b)
         pairs[i] = (u, a)
         pairs[j] = (v, b)
-        counts[new1] = counts.get(new1, 0) + 1
-        counts[new2] = counts.get(new2, 0) + 1
-        bad.discard(i)
-        bad.discard(j)
-        # a removed duplicate may have freed its twin
-        stale = [t for t in bad if pairs[t][0] != pairs[t][1] and counts[key(t)] == 1]
-        for t in stale:
-            bad.discard(t)
-    return not bad
+        counts[new1] = 1
+        counts[new2] = 1
+    return not left

@@ -447,9 +447,10 @@ def min_leave_packing(
 
     def branches(target):
         """Each clique through target that still fits, then leaving target."""
+        is_decided = decided.__getitem__
         for cid in through[target]:
             hedge = hedges[cid]
-            if not any(decided[e] for e in hedge):
+            if not any(map(is_decided, hedge)):
                 yield hedge, cid
         yield (target,), None
 

@@ -4,10 +4,13 @@ Everything here recomputes results from first principles by exhaustive
 enumeration, so it stays trivially auditable; the exceptions are
 reference_exact_cover, Algorithm X over plain sets, solved_edge_gadget,
 Gauss-Jordan over the full load system, reference_boost, the plain
-Fraction form of the fractional boost, and reference_pinned_search, the
-pinned 2-density search with every alive vertex free.
+Fraction form of the fractional boost, reference_pinned_search, the
+pinned 2-density search with every alive vertex free, and
+reference_repair, the pairing model's switch repair with a scan of the
+bad set per round.
 Nothing is imported from the package beyond the Graph container itself,
-save the min cut and core peeling that reference_pinned_search drives.
+save the min cut and core peeling that reference_pinned_search drives
+and the seeded streams that reference_gnd draws from.
 """
 
 from collections import Counter
@@ -17,6 +20,7 @@ import math
 
 from cliqueforge.density import _dinkelbach, _peel_to_core
 from cliqueforge.graphs import Graph
+from cliqueforge.randgraphs import stream
 
 
 # ===================================================================
@@ -324,3 +328,77 @@ def reference_boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d):
     in_range = all(Fraction(1, 2) / d <= v <= Fraction(3, 2) / d for v in psi.values())
     max_dev = max((abs(d * v - 1) for v in psi.values()), default=Fraction(0))
     return psi, in_range, max_dev, (min(c_values), max(c_values))
+
+
+# ===================================================================
+# The pairing model, rescanning the bad set after every switch
+# ===================================================================
+
+
+def reference_gnd(n: int, d: int, seed: int) -> Graph:
+    """gnd's stub pairing and restarts around reference_repair, for n
+    and d that gnd accepts."""
+    rng = stream(seed, "gnd")
+    for _ in range(200):
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+        if reference_repair(pairs, rng):
+            return Graph(n, pairs)
+    raise RuntimeError(f"pairing model failed to produce a simple graph (n={n}, d={d})")
+
+
+def reference_repair(pairs: list[tuple[int, int]], rng) -> bool:
+    """Switch away loops and duplicates in place; False when stuck.
+
+    Takes min(bad) every round and, after every accepted switch,
+    rescans all of bad for pairs whose key is no longer duplicated.
+    """
+
+    def key(i):
+        u, v = pairs[i]
+        return (u, v) if u < v else (v, u)
+
+    counts: dict[tuple[int, int], int] = {}
+    bad: set[int] = set()
+    for i, (u, v) in enumerate(pairs):
+        if u == v:
+            bad.add(i)
+        else:
+            counts[key(i)] = counts.get(key(i), 0) + 1
+    for i in range(len(pairs)):
+        if pairs[i][0] != pairs[i][1] and counts[key(i)] > 1:
+            bad.add(i)
+
+    budget = 200 * max(len(pairs), 1)
+    while bad and budget:
+        budget -= 1
+        i = min(bad)
+        j = rng.randrange(len(pairs))
+        if j == i:
+            continue
+        u, v = pairs[i]
+        a, b = pairs[j]
+        # switch to (u, a), (v, b); requires both new pairs simple and fresh
+        if u == a or v == b:
+            continue
+        new1 = (u, a) if u < a else (a, u)
+        new2 = (v, b) if v < b else (b, v)
+        if new1 == new2 or counts.get(new1, 0) or counts.get(new2, 0):
+            continue
+        # remove both old pairs from the counts, then re-add the new ones
+        for idx in (i, j):
+            u0, v0 = pairs[idx]
+            if u0 != v0:
+                counts[key(idx)] -= 1
+        pairs[i] = (u, a)
+        pairs[j] = (v, b)
+        counts[new1] = counts.get(new1, 0) + 1
+        counts[new2] = counts.get(new2, 0) + 1
+        bad.discard(i)
+        bad.discard(j)
+        # a removed duplicate may have freed its twin
+        stale = [t for t in bad if pairs[t][0] != pairs[t][1] and counts[key(t)] == 1]
+        for t in stale:
+            bad.discard(t)
+    return not bad

@@ -40,6 +40,32 @@ def test_graph_rejects_loops_and_range():
         Graph(-1, [])
 
 
+@pytest.mark.parametrize(
+    "edge, error, match",
+    [
+        ((1, 1), ValueError, "loop at vertex 1"),
+        ([2, 2], ValueError, "loop at vertex 2"),
+        ((0, 3), ValueError, r"edge \(0, 3\) out of range for n=3"),
+        ((3, 0), ValueError, r"edge \(0, 3\) out of range for n=3"),
+        ((-1, 2), ValueError, r"edge \(-1, 2\) out of range"),
+        ([1, 5], ValueError, r"edge \(1, 5\) out of range"),
+        ((0, 1, 2), ValueError, "unpack"),
+        ((0,), ValueError, "unpack"),
+        (7, TypeError, "cannot unpack"),
+    ],
+)
+def test_graph_validates_every_edge_however_it_is_given(edge, error, match):
+    """Sorted tuples are stored as given, yet each is still checked."""
+    with pytest.raises(error, match=match):
+        Graph(3, [(0, 1), edge])
+
+
+def test_graph_stores_edges_as_sorted_tuples():
+    g = Graph(4, [[3, 1], (2, 0), [0, 3], (1, 2)])
+    assert g.sorted_edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert all(type(e) is tuple for e in g.edges)
+
+
 def test_graph_dedups_and_sorts():
     g = Graph(4, [(2, 0), (0, 2), (1, 3)])
     assert g.m == 2

@@ -13,9 +13,13 @@ two-layer boost and a q=4 boost.  A fourth pins the exact cover of the
 anti_clique_absorber(4) host, 1,186 cliques deep.  A fifth pins the
 gadget layouts (fake edges, the anti-clique, nabla and omni absorbers
 with their certificates in order) and two fixer embeddings with the
-random state each leaves behind.  Any change to a visit order or a
-random draw shows up here, so a refactor that promises identical
-outputs is held to it.
+random state each leaves behind.  A sixth pins the fixer embedding's
+failures, and the random state each leaves behind, on twenty
+gnd(60, 12) hosts with their pools sliced as the pipeline slices them;
+a seventh pins the min-leave search, node counts included, on twenty
+small hosts at q = 3 and 4.
+Any change to a visit order or a random draw shows up here, so a
+refactor that promises identical outputs is held to it.
 """
 
 import hashlib
@@ -36,8 +40,8 @@ from cliqueforge.gadgets import (
     naive_omni_absorber,
 )
 from cliqueforge.graphs import Graph, union
-from cliqueforge.pipeline import GADGET_FRAC, embed_fixer, pack_gnd, pack_gnp
-from cliqueforge.randgraphs import gnp, slice_graph, stream
+from cliqueforge.pipeline import GADGET_FRAC, EmbedFailure, embed_fixer, pack_gnd, pack_gnp
+from cliqueforge.randgraphs import gnd, gnp, slice_graph, stream
 from cliqueforge.solver import (
     SolveBudget,
     enumerate_cliques,
@@ -54,6 +58,8 @@ PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b
 # the order the search took them
 PINNED_COVER = "b8e9da1c5d7fe15e352c8cfbd61810b05404dbc5857d0b17312c0c47e6b39459"
 PINNED_GADGETS = "0a7ce6a9fd8b62163b6d2408aec47b5467277f452cb0713152d08b436e62d684"
+PINNED_EMBED_GND = "3c131f0f9bb7479ac174e408cfbb90567336b53ab8be95e3dd894be0a5a0578b"
+PINNED_MIN_LEAVE = "007ec31c2a93d7016ba089121700eb0524c014ef868eb89013ed895b0affdcc6"
 
 
 def _pack_doc(rep):
@@ -207,3 +213,36 @@ def test_gadget_layouts_match_the_pinned_digest():
     """Every anti-edge layout: the gadgets, the absorbers with their
     certificates in order, and where the fixer placed its gadgets."""
     assert _digest(_gadget_outputs()) == PINNED_GADGETS
+
+
+def _embed_gnd_outputs():
+    """embed_fixer at q = 3 on gnd(60, 12, s), s = 0-19, with the pool
+    sliced as the pipeline slices it: each failure (or embedding) and
+    the random state it leaves behind."""
+    docs = []
+    for seed in range(20):
+        g = gnd(60, 12, seed)
+        pool, _ = slice_graph(g, GADGET_FRAC, seed ^ 0x67616467)
+        rng = stream(seed, "embed")
+        try:
+            out = embed_fixer(g, 3, rng, pool).to_json()
+        except EmbedFailure as exc:
+            out = str(exc)
+        docs.append([out, rng.getstate()])
+    return docs
+
+
+def test_embedding_failures_on_regular_hosts_match_the_pinned_digest():
+    docs = _embed_gnd_outputs()
+    assert all(d[0].startswith("gadget (0, ") for d in docs)
+    assert _digest(docs) == PINNED_EMBED_GND
+
+
+def test_min_leave_searches_match_the_pinned_digest():
+    docs = []
+    for n, p, q in ((11, Fraction(1, 2), 3), (10, Fraction(3, 4), 4)):
+        for s in range(10):
+            res = min_leave_packing(gnp(n, p, s), q)
+            docs.append([res.status, res.leave, res.nodes, sorted(res.packing.cliques)])
+    assert all(d[0] == "optimal" for d in docs)
+    assert _digest(docs) == PINNED_MIN_LEAVE

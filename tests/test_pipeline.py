@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliqueforge import pipeline, solver
+from cliqueforge import graphs as graphs_module, pipeline, randgraphs, solver
 from cliqueforge.fixers import FixerBlueprint, apply_fixer
 from cliqueforge.gadgets import fake_edge
 from cliqueforge.graphs import (
@@ -485,6 +486,35 @@ def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
     idle = "fix_by_deletion" if mode == "embedded" else "apply_fixer"
     want = {name: 1 for _, name in patched if name != idle}
     assert Counter(calls) == want
+
+
+@pytest.mark.parametrize("mode, sample, sites", [
+    ("embedded", lambda: pack_gnp(80, Fraction(2, 5), 3, 1),
+     {"slice_graph", "embed_fixer", "_pack", "subtract", "verify_packing"}),
+    ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2),
+     {"slice_graph", "embed_fixer", "fix_by_deletion", "_pack", "verify_packing"}),
+])
+def test_derived_graphs_equal_graphs_built_on_their_edges(monkeypatch, mode, sample, sites):
+    """Graphs a pack derives from a validated graph skip re-validation;
+    each still equals the graph built and checked on its edges."""
+    derived = []
+    spanning = graphs_module._spanning_subgraph
+
+    def recorded(g, edges):
+        h = spanning(g, edges)
+        derived.append((sys._getframe(1).f_code.co_name, g, h))
+        return h
+
+    for module in (graphs_module, randgraphs, pipeline):
+        monkeypatch.setattr(module, "_spanning_subgraph", recorded)
+    rep = sample()
+    assert rep.fixer_mode == mode and rep.valid
+    assert {site for site, _, _ in derived} == sites
+    for _, g, h in derived:
+        built = Graph(h.n, h.edges)
+        assert h == built and h.n == g.n and h.edges <= g.edges
+        assert isinstance(h.edges, frozenset)
+        assert h.adjacency() == built.adjacency()
 
 
 def test_a_host_smaller_than_the_fat_zone_falls_back_to_deletion():

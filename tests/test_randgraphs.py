@@ -1,13 +1,16 @@
 """Seeded generators: determinism, marginals, regularity, slicing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliqueforge.graphs import union
-from cliqueforge.randgraphs import _below, gnd, gnp, slice_graph, stream
+from cliqueforge.graphs import Graph, union
+from cliqueforge.randgraphs import _below, _repair, gnd, gnp, slice_graph, stream
+
+from oracles import reference_gnd, reference_repair
 
 
 # ===================================================================
@@ -166,3 +169,44 @@ def test_gnd_regular_across_seeds(seed, n):
     d = 3 if n % 2 == 0 else 4
     g = gnd(n, d, seed)
     assert g.degrees() == [d] * n
+
+
+# (10, 9) and (12, 11) restart: K_10 and K_12 are their only simple
+# 9- and 11-regular graphs, and the repair often gets stuck on them
+REPAIR_GRID = [(7, 2), (10, 9), (12, 11), (20, 3), (45, 20), (60, 12), (100, 36), (200, 60)]
+
+
+def _gnd_or_error(sample, n, d, seed):
+    try:
+        return sample(n, d, seed).edges
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n, d", REPAIR_GRID)
+def test_gnd_matches_the_reference_repair(n, d):
+    for seed in range(4):
+        assert _gnd_or_error(gnd, n, d, seed) == _gnd_or_error(reference_gnd, n, d, seed)
+
+
+@pytest.mark.parametrize("n, d, seed", [(10, 9, 0), (12, 11, 0), (12, 11, 1)])
+def test_repair_matches_the_reference_attempt_by_attempt(n, d, seed):
+    """Stuck attempts included: each returns the same verdict, leaves the
+    same pairs and draws the same bits as the reference."""
+    rng = stream(seed, "gnd")
+    stuck = 0
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+        ref_pairs, ref_rng = list(pairs), random.Random()
+        ref_rng.setstate(rng.getstate())
+        ok = _repair(pairs, rng)
+        assert ok == reference_repair(ref_pairs, ref_rng)
+        assert pairs == ref_pairs
+        assert rng.getstate() == ref_rng.getstate()
+        if ok:
+            break
+        stuck += 1
+    assert stuck > 0
+    assert Graph(n, pairs).degrees() == [d] * n

@@ -205,10 +205,11 @@ def test_min_leave_pinned_values(build, want):
 @given(graphs(7))
 @settings(max_examples=50, deadline=None)
 def test_min_leave_matches_oracle(g):
-    res = min_leave_packing(g, 3)
-    assert res.status == "optimal"
-    assert res.leave == brute_min_leave(g, 3)
-    assert res.leave >= optimal_leave_number(g, 3)
+    for q in (3, 4):
+        res = min_leave_packing(g, q)
+        assert res.status == "optimal"
+        assert res.leave == brute_min_leave(g, q)
+        assert res.leave >= optimal_leave_number(g, q)
 
 
 def test_min_leave_respects_budget():
