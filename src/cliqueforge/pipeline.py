@@ -2,13 +2,15 @@
 
 The pipeline packs a sampled random graph in stages: embed a spanning
 divisibility fixer (Hamilton path power plus fake-edge gadgets placed
-in a dedicated slice), reserve an edge slice, pack the rest greedily
-through the design hypergraph, complete leftovers through reserve
-cliques in one pass in edge-id order, apply the fixer, then polish on
-all of G: fill the packing to maximality and run Stinson's switch walk
-on the leave for WALK_STEPS * e(G) steps, which may cover
-fixer-deleted edges again.  Stage failures always degrade to a larger
-leave, never to an invalid packing.
+in a dedicated slice) and apply it, or repair by deletion, reserve an
+edge slice of the unfenced rest, pack the remainder greedily through
+the design hypergraph, complete leftovers through reserve cliques in
+one pass in edge-id order, then polish on all of G: fill the packing
+to maximality and run Stinson's switch walk on the leave for
+WALK_STEPS * e(G) steps, which may cover fixer-deleted edges again.
+Stage failures always degrade to a larger leave, never to an invalid
+packing.  Inputs of at most EXACT_CUTOFF edges are solved exactly
+instead, with the same report and validity check.
 
 Accounting: stages fixer_deleted / nibble / reserve / absorbed plus
 the reported leave partition e(G) exactly.  fixer_deleted counts the
@@ -776,70 +778,59 @@ class PackReport:
 
 def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
     t0 = time.perf_counter()
-    rng_embed = stream(seed, "embed")
-    rng_nibble = stream(seed, "nibble")
     opt_bound = optimal_leave_number(g, q)
     stages = {"fixer_deleted": 0, "nibble": 0, "reserve": 0, "absorbed": 0}
 
     if g.m <= EXACT_CUTOFF:
         res = min_leave_packing(g, q)
-        stages["nibble"] = g.m - res.leave
-        ms = int((time.perf_counter() - t0) * 1000)
-        rep = verify_packing(g, res.packing)
-        valid = rep.valid and rep.leave.m == res.leave and res.leave >= opt_bound
-        return PackReport(
-            g.n, p, d, q, seed, stages, res.leave, opt_bound, valid, ms,
-            res.packing, "exact", (),
-        )
+        fixer_mode, deleted, packing, leave = "exact", [], res.packing, res.leave
+        stages["nibble"] = g.m - leave
+    else:
+        # (ii) fixer: embed and apply it, or repair by deletion; the
+        # nibble leaves the fenced edges (the fixer's, or the deleted
+        # ones) alone
+        gadget_pool, _ = slice_graph(g, GADGET_FRAC, seed ^ 0x67616467)
+        rng_embed = stream(seed, "embed")
+        try:
+            emb = embed_fixer(g, q, rng_embed, gadget_pool)
+        except EmbedFailure:
+            fixer_mode, deleted = "deletion", fix_by_deletion(g, q, rng_embed)[1]
+            fenced = frozenset(deleted)
+        else:
+            fixer_mode, deleted = "embedded", apply_fixer(g, emb).deleted
+            fenced = frozenset(emb.realized_edges())
 
-    # (ii) fixer: embed, or repair by deletion
-    gadget_pool, _ = slice_graph(g, GADGET_FRAC, seed ^ 0x67616467)
-    emb = None
-    base = g
-    deleted: list = []
-    try:
-        emb = embed_fixer(g, q, rng_embed, gadget_pool)
-        fixer_edges = frozenset(emb.realized_edges())
-        fixer_mode = "embedded"
-    except EmbedFailure:
-        base, deleted = fix_by_deletion(g, q, rng_embed)
-        fixer_edges = frozenset()
-        fixer_mode = "deletion"
+        # (iii) reserve slice from the unfenced part
+        pool = _spanning_subgraph(g, g.edges - fenced)
+        x_res, main = slice_graph(pool, RESERVE_FRAC, seed ^ 0x72657376)
 
-    # (iii) reserve slice from the non-fixer part
-    pool = _spanning_subgraph(base, base.edges - fixer_edges)
-    x_res, main = slice_graph(pool, RESERVE_FRAC, seed ^ 0x72657376)
+        # (iv) + (v) nibble on the main slice A, completion through
+        # reserve cliques; every stage from here on works on one clique
+        # index of g, so ids pass between stages
+        index = design_hypergraph(g, q)
+        ids = index.edge_ids
+        zone = bytearray(len(index.edges))
+        for e in main.edges:
+            zone[ids[e]] = 1
+        for e in x_res.edges:
+            zone[ids[e]] = 2
+        match = matching_with_reserves(index, zone, stream(seed, "nibble"))
+        chosen, used = match.nibble_cliques + match.reserve_cliques, match.used
 
-    # (iv) + (v) nibble on the main slice A, completion through reserve
-    # cliques; every stage from here on works on one clique index of g,
-    # so ids pass between stages
-    index = design_hypergraph(g, q)
-    ids = index.edge_ids
-    zone = bytearray(len(index.edges))
-    for e in main.edges:
-        zone[ids[e]] = 1
-    for e in x_res.edges:
-        zone[ids[e]] = 2
-    match = matching_with_reserves(index, zone, rng_nibble)
-    chosen, used = match.nibble_cliques + match.reserve_cliques, match.used
+        # (vi) polish on all of G, deleted edges included; only the
+        # deleted edges the polish left uncovered count as deleted
+        _polish(index, chosen, used, stream(seed, "walk"), WALK_STEPS * g.m)
+        deleted = [e for e in deleted if ids[e] not in used]
+        stages["fixer_deleted"] = len(deleted)
+        per = q * (q - 1) // 2
+        reserve_ids = set(match.reserve_cliques)
+        stages["reserve"] = per * sum(1 for t in chosen if t in reserve_ids)
+        stages["nibble"] = len(used) - stages["reserve"]
+        packing = Packing(q, [index.cliques[t] for t in chosen])
+        leave = g.m - len(deleted) - len(used)
 
-    # (vi) apply the fixer, then polish on all of G, fixer-deleted edges
-    # included; only the deleted edges the polish left uncovered count
-    # as deleted
-    if emb is not None:
-        deleted = list(apply_fixer(g, emb).deleted)
-    _polish(index, chosen, used, stream(seed, "walk"), WALK_STEPS * g.m)
-    deleted = [e for e in deleted if ids[e] not in used]
-    stages["fixer_deleted"] = len(deleted)
-    base = _spanning_subgraph(g, g.edges.difference(deleted)) if deleted else g
-
-    per = q * (q - 1) // 2
-    reserve_ids = set(match.reserve_cliques)
-    stages["reserve"] = per * sum(1 for t in chosen if t in reserve_ids)
-    stages["nibble"] = len(used) - stages["reserve"]
-    packing = Packing(q, [index.cliques[t] for t in chosen])
-    leave = base.m - len(used)
     ms = int((time.perf_counter() - t0) * 1000)
+    base = _spanning_subgraph(g, g.edges.difference(deleted)) if deleted else g
     rep = verify_packing(base, packing)
     valid = (
         rep.valid

@@ -17,13 +17,16 @@ random state each leaves behind.  A sixth pins the fixer embedding's
 failures, and the random state each leaves behind, on twenty
 gnd(60, 12) hosts with their pools sliced as the pipeline slices them;
 a seventh pins the min-leave search, node counts included, on twenty
-small hosts at q = 3 and 4.
+small hosts at q = 3 and 4; an eighth pins fix_by_deletion's deleted
+edges, and the random state it leaves behind, on fifty hosts at
+q = 3, 4 and 5.
 Any change to a visit order or a random draw shows up here, so a
 refactor that promises identical outputs is held to it.
 """
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 from cliqueforge.fractional import (
@@ -40,7 +43,14 @@ from cliqueforge.gadgets import (
     naive_omni_absorber,
 )
 from cliqueforge.graphs import Graph, union
-from cliqueforge.pipeline import GADGET_FRAC, EmbedFailure, embed_fixer, pack_gnd, pack_gnp
+from cliqueforge.pipeline import (
+    GADGET_FRAC,
+    EmbedFailure,
+    embed_fixer,
+    fix_by_deletion,
+    pack_gnd,
+    pack_gnp,
+)
 from cliqueforge.randgraphs import gnd, gnp, slice_graph, stream
 from cliqueforge.solver import (
     SolveBudget,
@@ -60,6 +70,7 @@ PINNED_COVER = "b8e9da1c5d7fe15e352c8cfbd61810b05404dbc5857d0b17312c0c47e6b39459
 PINNED_GADGETS = "0a7ce6a9fd8b62163b6d2408aec47b5467277f452cb0713152d08b436e62d684"
 PINNED_EMBED_GND = "3c131f0f9bb7479ac174e408cfbb90567336b53ab8be95e3dd894be0a5a0578b"
 PINNED_MIN_LEAVE = "007ec31c2a93d7016ba089121700eb0524c014ef868eb89013ed895b0affdcc6"
+PINNED_DELETION = "070b7955766fd0354cdb1393e0ae6dbe2d58317edad321a4d5ffc28df9f6a250"
 
 
 def _pack_doc(rep):
@@ -246,3 +257,26 @@ def test_min_leave_searches_match_the_pinned_digest():
             docs.append([res.status, res.leave, res.nodes, sorted(res.packing.cliques)])
     assert all(d[0] == "optimal" for d in docs)
     assert _digest(docs) == PINNED_MIN_LEAVE
+
+
+def test_deletion_repairs_match_the_pinned_digest():
+    """fix_by_deletion on ten seeds of five hosts: the sorted deleted
+    edges and a digest of the random state each call leaves behind.
+    The repair is known to delete the whole host on 3 of the q = 4 and
+    7 of the q = 5 hosts; the pin records that as it is."""
+    hosts = (
+        (3, lambda s: gnd(60, 12, s)),
+        (3, lambda s: gnp(26, Fraction(2, 5), s)),
+        (4, lambda s: gnp(16, Fraction(3, 4), s)),
+        (4, lambda s: gnp(60, Fraction(1, 2), s)),
+        (5, lambda s: gnp(30, Fraction(3, 4), s)),
+    )
+    docs, emptied = [], Counter()
+    for q, host in hosts:
+        for s in range(10):
+            rng = stream(s, "embed")
+            rest, deleted = fix_by_deletion(host(s), q, rng)
+            docs.append([sorted(deleted), _digest(rng.getstate())])
+            emptied[q] += rest.m == 0
+    assert emptied == {3: 0, 4: 3, 5: 7}
+    assert _digest(docs) == PINNED_DELETION
