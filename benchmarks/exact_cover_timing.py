@@ -5,7 +5,9 @@ Usage: python benchmarks/exact_cover_timing.py LABEL [--src DIR]
 exact_decomposition on fresh copies of the anti_clique_absorber(3), (4)
 hosts (L + A), the star_transformer(q, k) covers (T + L, T + L') and
 K13 at q = 4; naive_omni_absorber(C6), which runs the generic
-exact_cover_solutions; building anti_clique_absorber(3), (4).  5
+exact_cover_solutions; building anti_clique_absorber(3), (4); the
+backtracking covers of gnd(45, 20, s) at q = 3, s = 1-3, each with a
+fresh 20,000-node budget (seed 1 finds a cover, seeds 2-3 run out).  5
 repeats, on the protocol of timing.py, into BENCH_exact_cover.json.  A
 sha256 covers the status, node count and cliques in search order (the
 omni-absorber's graph and table; the bundle's L, A and certificates).
@@ -19,7 +21,8 @@ from timing import Case, main
 def cases():
     from cliqueforge import gadgets
     from cliqueforge.graphs import Graph, union
-    from cliqueforge.solver import exact_decomposition
+    from cliqueforge.randgraphs import gnd
+    from cliqueforge.solver import SolveBudget, exact_decomposition
 
     def cover_doc(res):
         return [res.status, res.nodes, list(res.packing.cliques) if res.packing else None]
@@ -49,9 +52,14 @@ def cases():
     for q in (3, 4):
         yield Case(f"build anti_clique_absorber({q})",
                    partial(gadgets.anti_clique_absorber, q), doc=bundle_doc)
+    for s in (1, 2, 3):
+        g = gnd(45, 20, s)
+        yield Case(f"gnd(45, 20, {s}) q=3, 20000 nodes", exact_decomposition,
+                   lambda g=g: (Graph(g.n, g.edges), 3, SolveBudget(20_000)), cover_doc)
 
 
 if __name__ == "__main__":
     main(__doc__, "BENCH_exact_cover.json", cases, repeats=5,
          workload="exact_decomposition on gadget hosts; naive_omni_absorber(C6); "
-                  "anti_clique_absorber(3) and (4) builds")
+                  "anti_clique_absorber(3) and (4) builds; gnd(45, 20, s) q=3 covers, "
+                  "20000-node budget")

@@ -8,11 +8,14 @@ is case.call(*args) with every stage ("module.attr" in cliqueforge)
 rebound to a timer and every counter's attribute to a wrapper adding a
 weight of the call's arguments.  A case's sha256 is that of the
 canonical JSON of case.doc(output); if it or a counter differs between
-repeats, main exits naming the case and writes nothing.  Else the run
-goes under LABEL in the suite's BENCH file, next to the runs there: the
-machine, repeats and workload; per case the median ms, the median ms of
-each stage, the counters and the sha256; the total ms, counter totals
-and the sha256 over the cases' sha256s in order.
+repeats, main exits naming the case and writes nothing.  A stage that
+no case ever calls through its module (a case may hold the function
+itself, which bypasses the timer) would read 0.0 ms everywhere, so main
+exits naming it and writes nothing.  Else the run goes under LABEL in
+the suite's BENCH file, next to the runs there: the machine, repeats
+and workload; per case the median ms, the median ms of each stage, the
+counters and the sha256; the total ms, counter totals and the sha256
+over the cases' sha256s in order.
 """
 
 import argparse
@@ -85,7 +88,7 @@ def _median(xs):
 
 
 def run(cases, repeats: int, workload: str, stages=(), counters=None) -> dict:
-    results = {}
+    results, called = {}, set()
     for case in cases:
         if case.name in results:
             raise SystemExit(f"{case.name}: listed twice")
@@ -99,6 +102,7 @@ def run(cases, repeats: int, workload: str, stages=(), counters=None) -> dict:
             doc = json.dumps(case.doc(out), sort_keys=True)
             digest = hashlib.sha256(doc.encode()).hexdigest()
             samples.append((ms, {s: sum(v) for s, v in stage_ms.items()}, counts, digest))
+            called.update(s for s, v in stage_ms.items() if v)
         if any(s[2:] != samples[0][2:] for s in samples):
             raise SystemExit(f"{case.name}: outputs or counters differ between repeats")
         results[case.name] = {
@@ -107,6 +111,9 @@ def run(cases, repeats: int, workload: str, stages=(), counters=None) -> dict:
             "counters": samples[0][2],
             "sha256": samples[0][3],
         }
+    for stage in stages:
+        if stage not in called:
+            raise SystemExit(f"stage {stage}: no case calls it through its module")
     return {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},

@@ -85,11 +85,17 @@ def _extend_cliques(up, q, out, prefix, cands) -> None:
     cands (common upper neighbours of prefix, ascending).  A module
     function, not a closure: a closure that calls itself is a reference
     cycle, which would keep up alive until the next garbage collection.
+    With two vertices to go, the last level is taken inline.
     """
-    if len(prefix) == q - 1:
+    need = q - len(prefix)
+    if need == 1:
         out.extend([prefix + (w,) for w in cands])
         return
-    need = q - len(prefix)
+    if need == 2:
+        for i, v in enumerate(cands):
+            uv, pv = up[v], prefix + (v,)
+            out.extend([pv + (w,) for w in cands[i + 1 :] if w in uv])
+        return
     for i, v in enumerate(cands):
         if len(cands) - i < need:
             break
@@ -148,47 +154,35 @@ class _ExactCover:
     Columns and rows are numbered from 0: cols[c] lists the rows through
     column c in ascending order and rows[r] the columns of row r.  live[r]
     marks the rows that meet no selected row, and count[c] is the number
-    of live rows through c.  An uncovered column c sits at
-    by_size[count[c]][place[c]]; place[c] is -1 once c is covered, and
-    left counts the uncovered columns.  The branching column, the one
-    with the fewest live rows and the lowest number among those, is then
-    the min of the first nonempty bucket.
+    of live rows through c.  key[c] is count[c] capped at 254 while c is
+    uncovered and 255 once it is covered, and left counts the uncovered
+    columns.  The branching column, the one with the fewest live rows
+    and the lowest number among those, is then the first byte of the
+    least value in key, found by key.find (a C-level memchr); only when
+    every uncovered column has 254 or more live rows does it take a
+    Python min over their counts.
     """
 
-    __slots__ = (
-        "cols", "rows", "live", "count", "place", "by_size", "left", "solution"
-    )
+    __slots__ = ("cols", "rows", "live", "count", "key", "left", "solution")
 
     def __init__(self, cols, rows):
         self.cols = cols
         self.rows = rows
         self.live = bytearray(b"\x01") * len(rows)
         self.count = [len(rs) for rs in cols]
-        self.by_size: list[list[int]] = [
-            [] for _ in range(max(self.count, default=0) + 1)
-        ]
-        self.place: list[int] = []
-        for c, k in enumerate(self.count):
-            bucket = self.by_size[k]
-            self.place.append(len(bucket))
-            bucket.append(c)
+        self.key = bytearray(min(k, 254) for k in self.count)
         self.left = len(cols)
         self.solution: list[int] = []
 
     def _select(self, r: int) -> list[int]:
         """Take row r: cover its columns and kill every live row that
         meets it (r included); returns the killed rows."""
-        cols, rows, live, count, place, by_size = (
-            self.cols, self.rows, self.live, self.count, self.place, self.by_size
+        cols, rows, live, count, key = (
+            self.cols, self.rows, self.live, self.count, self.key
         )
         covered = rows[r]
         for c in covered:
-            bucket = by_size[count[c]]
-            last = bucket.pop()
-            if last != c:
-                bucket[place[c]] = last
-                place[last] = place[c]
-            place[c] = -1
+            key[c] = 255
         killed = []
         for c in covered:
             for r2 in cols[c]:
@@ -197,48 +191,26 @@ class _ExactCover:
                 live[r2] = 0
                 killed.append(r2)
                 for c2 in rows[r2]:
-                    k = count[c2]
-                    count[c2] = k - 1
-                    i = place[c2]
-                    if i < 0:
-                        continue
-                    bucket = by_size[k]
-                    last = bucket.pop()
-                    if last != c2:
-                        bucket[i] = last
-                        place[last] = i
-                    bucket = by_size[k - 1]
-                    place[c2] = len(bucket)
-                    bucket.append(c2)
+                    k = count[c2] - 1
+                    count[c2] = k
+                    if k < 254 and key[c2] != 255:
+                        key[c2] = k
         self.left -= len(covered)
         return killed
 
     def _unselect(self, r: int, killed: list[int]) -> None:
         """Undo _select(r), which returned killed."""
-        rows, live, count, place, by_size = (
-            self.rows, self.live, self.count, self.place, self.by_size
-        )
+        rows, live, count, key = self.rows, self.live, self.count, self.key
         for r2 in killed:
             live[r2] = 1
             for c2 in rows[r2]:
-                k = count[c2]
-                count[c2] = k + 1
-                i = place[c2]
-                if i < 0:
-                    continue
-                bucket = by_size[k]
-                last = bucket.pop()
-                if last != c2:
-                    bucket[i] = last
-                    place[last] = i
-                bucket = by_size[k + 1]
-                place[c2] = len(bucket)
-                bucket.append(c2)
+                k = count[c2] + 1
+                count[c2] = k
+                if k < 255 and key[c2] != 255:
+                    key[c2] = k
         covered = rows[r]
         for c in covered:
-            bucket = by_size[count[c]]
-            place[c] = len(bucket)
-            bucket.append(c)
+            key[c] = min(count[c], 254)
         self.left += len(covered)
 
     def _branch(self) -> Iterator[int]:
@@ -247,9 +219,14 @@ class _ExactCover:
         The walk is lazy: the search undoes every deeper selection
         before it asks for the next row, so live is then as it was here.
         """
-        for bucket in self.by_size:
-            if bucket:
-                return filter(self.live.__getitem__, self.cols[min(bucket)])
+        key, count = self.key, self.count
+        for k in range(254):
+            c = key.find(k)
+            if c >= 0:
+                break
+        else:  # every uncovered column has 254 or more live rows
+            c = min((count[s], s) for s, b in enumerate(key) if b == 254)[1]
+        return filter(self.live.__getitem__, self.cols[c])
 
     def solutions(self, budget: SolveBudget) -> Iterator[list[int]]:
         """Depth-first Algorithm X on an explicit stack.
@@ -433,10 +410,8 @@ def min_leave_packing(
         except BudgetExceeded:
             out_of_budget = True
             return None
-        target = start
-        while target < m and decided[target]:
-            target += 1
-        if target == m:
+        target = decided.find(0, start)
+        if target < 0:
             if n_left < best_leave:
                 best_leave = n_left
                 best_cliques = list(chosen)

@@ -17,7 +17,7 @@ import pytest
 from cliqueforge import randgraphs
 
 ROOT = Path(__file__).resolve().parents[1]
-SUITES = {"polish": 8, "boost": 23, "density": 24, "exact_cover": 16, "gnd": 21}
+SUITES = {"polish": 8, "boost": 23, "density": 24, "exact_cover": 19, "gnd": 21}
 STREAMS = {"streams": ("randgraphs.stream", lambda *args: 1)}
 
 
@@ -92,6 +92,19 @@ def test_a_case_that_differs_between_repeats_is_refused_unwritten(timing, monkey
     out = tmp_path / "BENCH_toy.json"
     out.write_text("{}\n")
     with pytest.raises(SystemExit, match="drifting: outputs or counters differ"):
+        _main(timing, monkeypatch, "toy", out, cases)
+    assert out.read_text() == "{}\n"
+
+
+def test_a_stage_no_case_calls_is_refused_unwritten(timing, monkeypatch, tmp_path):
+    def cases():
+        # the partial holds gnp itself, so the stage's timer never runs
+        yield timing.Case("held gnp", partial(randgraphs.gnp, 9, Fraction(1, 2), 2),
+                          doc=lambda g: g.sorted_edges())
+
+    out = tmp_path / "BENCH_toy.json"
+    out.write_text("{}\n")
+    with pytest.raises(SystemExit, match="stage randgraphs.gnp: no case calls it"):
         _main(timing, monkeypatch, "toy", out, cases)
     assert out.read_text() == "{}\n"
 

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,10 +18,12 @@ from cliqueforge.graphs import (
     union,
     verify_packing,
 )
+from cliqueforge.randgraphs import gnp
 from cliqueforge.solver import (
     BudgetExceeded,
     CliqueIndex,
     SolveBudget,
+    _ExactCover,
     enumerate_cliques,
     exact_cover_solutions,
     exact_decomposition,
@@ -49,6 +52,13 @@ def test_enumerate_cliques_matches_oracle(g, q):
     got = enumerate_cliques(g, q)
     assert got == brute_cliques(g, q)
     assert got == sorted(got)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_enumerate_cliques_matches_oracle_on_dense_graphs(q, seed):
+    g = gnp(14, Fraction(3, 5), seed)
+    assert enumerate_cliques(g, q) == brute_cliques(g, q)
 
 
 @given(graphs(10), st.integers(3, 5))
@@ -312,6 +322,61 @@ def test_exact_cover_matches_the_set_based_oracle(instance):
     assert _drain(exact_cover_solutions(columns, rows, got), got) == _drain(
         reference_exact_cover(columns, rows, want), want
     )
+
+
+def _two_column_rows(only0, only1, both):
+    """Rows on {0}, on {1} and on {0, 1}, keyed 0, 1, 2, ... with the
+    three kinds interleaved in key order."""
+    rows = []
+    for i in range(max(only0, only1, both)):
+        for n, cs in ((only0, (0,)), (only1, (1,)), (both, (0, 1))):
+            if i < n:
+                rows.append((len(rows), cs))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "only0, only1, both",
+    [
+        (300, 260, 10),  # both columns above the cap, the lower one fuller
+        (240, 250, 20),  # column 1 drops below the cap and comes back
+        (270, 270, 5),  # a tie above the cap goes to the lower column
+    ],
+)
+def test_exact_cover_matches_the_oracle_above_the_count_cap(only0, only1, both):
+    """Every uncovered column has more than 254 live rows, so the
+    branching column comes from the exact counts, not the byte key."""
+    rows = _two_column_rows(only0, only1, both)
+    got, want = SolveBudget(2_000), SolveBudget(2_000)
+    assert _drain(exact_cover_solutions(range(2), rows, got), got) == _drain(
+        reference_exact_cover(range(2), rows, want), want
+    )
+
+
+def _cover_of(rows, k):
+    """The solver's numbered columns and rows for (key, columns) rows
+    listed in key order over the columns 0..k-1."""
+    cols = [[r for r, (_, cs) in enumerate(rows) if c in cs] for c in range(k)]
+    return cols, [list(cs) for _, cs in rows]
+
+
+_K7 = CliqueIndex(complete_graph(7), 3)  # its 30 Steiner triple systems
+
+
+@pytest.mark.parametrize(
+    "cols, rows, solutions",
+    [
+        (*_cover_of(_two_column_rows(1, 1, 300), 2), 301),
+        (_K7.through, _K7.hedges, 30),
+    ],
+)
+def test_an_exhaustive_search_restores_counts_keys_and_live_rows(cols, rows, solutions):
+    cover = _ExactCover(cols, rows)
+    start = list(cover.count), bytes(cover.key), bytes(cover.live)
+    assert start[1] == bytes(min(len(rs), 254) for rs in cols)
+    assert sum(1 for _ in cover.solutions(SolveBudget())) == solutions
+    assert (cover.count, bytes(cover.key), bytes(cover.live)) == start
+    assert (cover.left, cover.solution) == (len(cols), [])
 
 
 @st.composite
