@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, _check_q, _content_lines, _parse_ints
+from .graphs import Graph, _check_q, _parse_clique, _read_records, _sorted_clique
 from .randgraphs import _threshold
 
 __all__ = [
@@ -131,12 +131,11 @@ class CliqueWeighting:
     __slots__ = ("q", "weights", "_loads")
 
     def __init__(self, q: int, weights: dict):
+        _check_q(q)
         self.q = q
         ws: dict[tuple[int, ...], Fraction] = {}
         for c, v in weights.items():
-            t = tuple(sorted(c))
-            if len(t) != q or len(set(t)) != q:
-                raise ValueError(f"clique {t} does not have {q} distinct vertices")
+            t = _sorted_clique(c, q)
             ws[t] = ws.get(t, Fraction(0)) + Fraction(v)
         self.weights = ws
         self._loads = None
@@ -172,28 +171,21 @@ def serialize_weighting(w: CliqueWeighting) -> str:
 
 
 def parse_weighting(text: str) -> CliqueWeighting:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ValueError("line 1: empty weighting file, expected 'q k' header")
-    lineno, header = lines[0]
-    q, k = _parse_ints(header, lineno, 2, "weighting header")
-    if len(lines) - 1 != k:
-        raise ValueError(
-            f"line {lineno}: header promises {k} cliques, file has {len(lines) - 1}"
-        )
+    q, records = _read_records(text, "weighting")
     weights = {}
-    for lineno, ln in lines[1:]:
+    for lineno, ln in records:
         fields = ln.split()
         if len(fields) != q + 1:
             raise ValueError(f"line {lineno}: expected {q} vertices and a weight")
-        c = tuple(_parse_ints(" ".join(fields[:q]), lineno, q, "clique"))
+        c = tuple(_parse_clique(" ".join(fields[:q]), lineno, q))
         try:
             v = Fraction(fields[q])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad weight in {ln!r}") from None
-        if c in weights:
+        t = tuple(sorted(c))
+        if t in weights:
             raise ValueError(f"line {lineno}: clique {c} listed twice")
-        weights[c] = v
+        weights[t] = v
     return CliqueWeighting(q, weights)
 
 

@@ -353,6 +353,17 @@ def _relabel_edges(edges, mapping):
     return out
 
 
+def _place_copy(mapping, fresh, nonroots, edges, certificates, edge_out, cert_outs):
+    """Place one copy of a certified piece: mapping, given on the piece's
+    roots, sends its nonroots, in ascending order, to fresh ids; the
+    relabelled edges go to edge_out and each relabelled certificate to
+    the matching list of cert_outs."""
+    mapping.update(zip(nonroots, fresh.take(len(nonroots))))
+    edge_out.extend(_relabel_edges(edges, mapping))
+    for cert, out in zip(certificates, cert_outs):
+        out.extend(_relabel_packing(cert, mapping))
+
+
 # ===================================================================
 # Absorbers
 # ===================================================================
@@ -478,11 +489,11 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
                 mapping = {canonical.x: v, canonical.x_prime: phi[v]}
                 for leaf, e in zip(canonical.leaf_roots, group):
                     mapping[leaf] = connectors[e][i]
-                internals = fresh.take(len(canonical.internals))
-                mapping.update(zip(canonical.internals, internals))
-                a4_edges.extend(_relabel_edges(canonical.t.edges, mapping))
-                cert_unprimed.extend(_relabel_packing(canonical.decomp_tl, mapping))
-                cert_primed.extend(_relabel_packing(canonical.decomp_tl_prime, mapping))
+                _place_copy(
+                    mapping, fresh, canonical.internals, canonical.t.edges,
+                    (canonical.decomp_tl, canonical.decomp_tl_prime),
+                    a4_edges, (cert_unprimed, cert_primed),
+                )
 
     n = fresh.next
     l = Graph(n, s1.edges)
@@ -537,34 +548,20 @@ def nabla_absorber(
     anti-clique absorber is one).  A' replaces every edge of L and of
     the base absorber A by an anti-edge, then roots one booster copy on
     the expansion of every clique of the base certificates.  Without a
-    base, L itself must decompose (searched here) and A is empty.
+    base, trivial_absorber(L, q) is the base: L itself must decompose
+    and A is empty.
     """
     q = booster.q
     if not is_kq_divisible(l, q):
         raise ValueError("L is not divisible")
-    if base is not None:
-        if base.q != q:
-            raise ValueError("base and booster disagree on q")
-        if base.l.edges != l.edges:
-            raise ValueError("base absorber is not an absorber for this L")
-        a0 = base.a
-        q1 = base.decomp_a
-        q2 = base.decomp_la
-        universe = max(l.n, a0.n)
-    else:
-        res = exact_decomposition(l, q)
-        if res.status != "found":
-            raise ValueError(
-                f"no decomposition of L (status {res.status}); "
-                "a base absorber is required"
-            )
-        a0 = Graph(l.n, [])
-        q1 = Packing(q, [])
-        q2 = res.packing
-        universe = l.n
+    if base is None:
+        base = trivial_absorber(l, q)
+    elif base.q != q:
+        raise ValueError("base and booster disagree on q")
+    elif base.l.edges != l.edges:
+        raise ValueError("base absorber is not an absorber for this L")
 
-    la = union(Graph(universe, l.edges), Graph(universe, a0.edges))
-    ex = nabla_expansion(q, la)
+    ex = nabla_expansion(q, union(l, base.a))
     fresh = _Fresh(ex.graph.n)
 
     # booster root layout: canonical nabla(K_q) vertices in a fixed order
@@ -572,28 +569,23 @@ def nabla_absorber(
     booster_ex = nabla_expansion(q, booster_base)
     if booster.l.edges != booster_ex.graph.edges:
         raise ValueError("booster is not an absorber for the canonical nabla(K_q)")
-    booster_nonroots = tuple(
-        v for v in range(booster.a.n) if v not in set(booster.roots)
-    )
-
-    def rooted_copy(clique):
-        mapping = _carry(dict(zip(range(q), clique)), booster_ex, ex)
-        mapping.update(zip(booster_nonroots, fresh.take(len(booster_nonroots))))
-        return mapping
+    booster_nonroots = [v for v in range(booster.a.n) if v not in booster.roots]
 
     copy_edges: list[tuple[int, int]] = []
     q1_cliques: list[tuple[int, ...]] = []
     q2_cliques: list[tuple[int, ...]] = []
-    for grp, into_q1, into_q2 in ((q2, "b2", "b1"), (q1, "b1", "b2")):
-        # copies over Q2 put their absorbed certificate into Q1' and
-        # their plain one into Q2'; copies over Q1 do the reverse
+    # copies over Q2 put their absorbed certificate into Q1' and their
+    # plain one into Q2'; copies over Q1 do the reverse
+    for grp, into in (
+        (base.decomp_la, (q2_cliques, q1_cliques)),
+        (base.decomp_a, (q1_cliques, q2_cliques)),
+    ):
         for clique in sorted(grp.cliques):
-            mapping = rooted_copy(clique)
-            copy_edges.extend(_relabel_edges(booster.a.edges, mapping))
-            b1 = _relabel_packing(booster.decomp_a, mapping)
-            b2 = _relabel_packing(booster.decomp_la, mapping)
-            q1_cliques.extend(b2 if into_q1 == "b2" else b1)
-            q2_cliques.extend(b1 if into_q2 == "b1" else b2)
+            _place_copy(
+                _carry(dict(zip(range(q), clique)), booster_ex, ex),
+                fresh, booster_nonroots, booster.a.edges,
+                (booster.decomp_a, booster.decomp_la), copy_edges, into,
+            )
 
     n = fresh.next
     a_prime = union(

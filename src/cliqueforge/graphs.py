@@ -217,6 +217,14 @@ def leave_bound(m: int, residue_sum: int, q: int) -> int:
 # ===================================================================
 
 
+def _sorted_clique(c: Iterable[int], q: int) -> tuple[int, ...]:
+    """c as a sorted tuple, which must hold q distinct vertices."""
+    t = tuple(sorted(c))
+    if len(t) != q or len(set(t)) != q:
+        raise ValueError(f"clique {t} does not have {q} distinct vertices")
+    return t
+
+
 class Packing:
     """A set of q-vertex cliques, stored as sorted vertex tuples."""
 
@@ -224,14 +232,10 @@ class Packing:
 
     def __init__(self, q: int, cliques: Iterable[Iterable[int]]):
         _check_q(q)
-        cs = []
-        for c in cliques:
-            t = tuple(sorted(c))
-            if len(t) != q or len(set(t)) != q:
-                raise ValueError(f"clique {t} does not have {q} distinct vertices")
-            cs.append(t)
         self.q = q
-        self.cliques: tuple[tuple[int, ...], ...] = tuple(cs)
+        self.cliques: tuple[tuple[int, ...], ...] = tuple(
+            _sorted_clique(c, q) for c in cliques
+        )
 
     def __len__(self):
         return len(self.cliques)
@@ -299,7 +303,8 @@ def verify_packing(g: Graph, p: Packing) -> PackingReport:
 # Text formats
 # ===================================================================
 # Graphs: header "n m", then m lines "u v".  Output is lexicographic.
-# Packings: header "q k", then k lines of q vertex ids.
+# Packings: header "q k", then k lines of q vertex ids.  Weightings
+# (fractional.py) add a weight after the q ids.
 
 
 def _parse_ints(line: str, lineno: int, count: int, what: str) -> list[int]:
@@ -314,26 +319,41 @@ def _parse_ints(line: str, lineno: int, count: int, what: str) -> list[int]:
         raise ValueError(f"line {lineno}: non-integer field in {what!r}: {line!r}")
 
 
-def _content_lines(text: str):
-    """(lineno, line) pairs, 1-based, skipping blanks and # comments."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield i, line
+def _read_records(text: str, kind: str) -> tuple[int, list[tuple[int, str]]]:
+    """The header's first field and the (lineno, line) records of a graph
+    ("n m" header), packing or weighting file ("q k", q at least 3);
+    blank lines and # comments are skipped."""
+    lines = [
+        (i, line)
+        for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")
+    ]
+    header, noun = ("n m", "edges") if kind == "graph" else ("q k", "cliques")
+    if not lines:
+        raise ValueError(f"line 1: empty {kind} file, expected '{header}' header")
+    lineno, line = lines[0]
+    first, count = _parse_ints(line, lineno, 2, f"{kind} header")
+    if kind != "graph" and first < 3:
+        raise ValueError(f"line {lineno}: q must be at least 3, got {first}")
+    if len(lines) - 1 != count:
+        raise ValueError(
+            f"line {lineno}: header promises {count} {noun}, file has {len(lines) - 1}"
+        )
+    return first, lines[1:]
+
+
+def _parse_clique(line: str, lineno: int, q: int) -> list[int]:
+    """The q distinct vertex ids of a packing or weighting record."""
+    vs = _parse_ints(line, lineno, q, "clique")
+    if len(set(vs)) != q:
+        raise ValueError(f"line {lineno}: repeated vertex in clique {vs}")
+    return vs
 
 
 def parse_graph(text: str) -> Graph:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ValueError("line 1: empty graph file, expected 'n m' header")
-    lineno, header = lines[0]
-    n, m = _parse_ints(header, lineno, 2, "graph header")
-    if len(lines) - 1 != m:
-        raise ValueError(
-            f"line {lineno}: header promises {m} edges, file has {len(lines) - 1}"
-        )
+    n, records = _read_records(text, "graph")
     edges = []
-    for lineno, line in lines[1:]:
+    for lineno, line in records:
         u, v = _parse_ints(line, lineno, 2, "edge")
         if u == v:
             raise ValueError(f"line {lineno}: loop at vertex {u}")
@@ -341,8 +361,10 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
         edges.append((u, v))
     g = Graph(n, edges)
-    if g.m != m:
-        raise ValueError(f"duplicate edges: header promises {m}, found {g.m} distinct")
+    if g.m != len(edges):
+        raise ValueError(
+            f"duplicate edges: header promises {len(edges)}, found {g.m} distinct"
+        )
     return g
 
 
@@ -353,24 +375,8 @@ def serialize_graph(g: Graph) -> str:
 
 
 def parse_packing(text: str) -> Packing:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ValueError("line 1: empty packing file, expected 'q k' header")
-    lineno, header = lines[0]
-    q, k = _parse_ints(header, lineno, 2, "packing header")
-    if q < 3:
-        raise ValueError(f"line {lineno}: q must be at least 3, got {q}")
-    if len(lines) - 1 != k:
-        raise ValueError(
-            f"line {lineno}: header promises {k} cliques, file has {len(lines) - 1}"
-        )
-    cliques = []
-    for lineno, line in lines[1:]:
-        vs = _parse_ints(line, lineno, q, "clique")
-        if len(set(vs)) != q:
-            raise ValueError(f"line {lineno}: repeated vertex in clique {vs}")
-        cliques.append(vs)
-    return Packing(q, cliques)
+    q, records = _read_records(text, "packing")
+    return Packing(q, [_parse_clique(line, lineno, q) for lineno, line in records])
 
 
 def serialize_packing(p: Packing) -> str:

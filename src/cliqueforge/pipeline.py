@@ -558,20 +558,15 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
 
     q=3 pairs odd-degree vertices along shortest paths (interior
     parities survive), then removes a cycle of the right length mod 3.
-    q>=4 burns residues on edges between bad vertices, then removes a
-    3-regular 6-vertex subgraph when the edge count needs a half-period
-    shift.  Gives up gracefully; the caller just keeps a larger leave.
+    q>=4 burns residues on edges between bad vertices; at q=4 it then
+    removes a 3-regular 6-vertex subgraph when the edge count needs a
+    half-period shift.  Gives up gracefully; the caller keeps a larger leave.
     """
-    edges = set(g.edges)
     deleted: list[tuple[int, int]] = []
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
-    deg = [len(adj[v]) for v in range(g.n)]
-
-    def drop(u, w):
-        _drop_edge(adj, deg, edges, deleted, u, w)
 
     if q == 3:
-        odd = sorted(v for v in range(g.n) if deg[v] % 2)
+        odd = sorted(v for v in range(g.n) if len(adj[v]) % 2)
         while odd:
             src = odd[0]
             prev = {src: src}
@@ -584,7 +579,7 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
                         if w in prev:
                             continue
                         prev[w] = u
-                        if w != src and deg[w] % 2:
+                        if w != src and len(adj[w]) % 2:
                             found = w
                             break
                         nxt_queue.append(w)
@@ -595,47 +590,43 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
                 break
             w = found
             while w != src:
-                drop(prev[w], w)
+                _drop_edge(adj, deleted, prev[w], w)
                 w = prev[w]
-            odd = sorted(v for v in range(g.n) if deg[v] % 2)
+            odd = sorted(v for v in range(g.n) if len(adj[v]) % 2)
     else:
         for _ in range(6 * g.m):
-            bad = [v for v in range(g.n) if deg[v] % (q - 1)]
+            bad = [v for v in range(g.n) if len(adj[v]) % (q - 1)]
             if not bad:
                 break
             badset = set(bad)
             pairs = [(u, w) for u in bad for w in sorted(adj[u]) if w in badset and u < w]
             if pairs:
-                drop(*pairs[rng.randrange(len(pairs))])
+                _drop_edge(adj, deleted, *pairs[rng.randrange(len(pairs))])
             else:
                 u = bad[rng.randrange(len(bad))]
                 if not adj[u]:
                     break
                 ws = sorted(adj[u])
-                drop(u, ws[rng.randrange(len(ws))])
+                _drop_edge(adj, deleted, u, ws[rng.randrange(len(ws))])
 
-    period = q * (q - 1) // 2
-    r = len(edges) % period
-    if r and not any(deg[v] % (q - 1) for v in range(g.n)):
+    # at q=4, all degrees = 0 mod 3 give m = 0 mod 3, so a nonzero r is 3
+    r = (g.m - len(deleted)) % (q * (q - 1) // 2)
+    if r and not any(len(adj[v]) % (q - 1) for v in range(g.n)):
         if q == 3:
-            _drop_cycle_mod(adj, deg, edges, deleted, r)
-        else:
-            _drop_half_period(adj, deg, edges, deleted, q, rng)
-    return _spanning_subgraph(g, edges), deleted
+            _drop_cycle_mod(adj, deleted, r)
+        elif q == 4:
+            _drop_half_period(adj, deleted, rng)
+    return _spanning_subgraph(g, g.edges.difference(deleted)), deleted
 
 
-def _drop_edge(adj, deg, edges, deleted, u, w):
-    e = (u, w) if u < w else (w, u)
-    if e in edges:
-        edges.discard(e)
+def _drop_edge(adj, deleted, u, w):
+    if w in adj[u]:
         adj[u].discard(w)
         adj[w].discard(u)
-        deg[u] -= 1
-        deg[w] -= 1
-        deleted.append(e)
+        deleted.append((u, w) if u < w else (w, u))
 
 
-def _drop_cycle_mod(adj, deg, edges, deleted, r):
+def _drop_cycle_mod(adj, deleted, r):
     """Delete one cycle with length = r (mod 3), found via BFS trees."""
     for root in sorted(adj):
         depth = {root: 0}
@@ -666,20 +657,16 @@ def _drop_cycle_mod(adj, deg, edges, deleted, r):
                 cycle = left + right[-2::-1]
                 if len(cycle) % 3 == r:
                     for i, x in enumerate(cycle):
-                        y = cycle[(i + 1) % len(cycle)]
-                        _drop_edge(adj, deg, edges, deleted, x, y)
-                    return True
-    return False
+                        _drop_edge(adj, deleted, x, cycle[(i + 1) % len(cycle)])
+                    return
 
 
-def _drop_half_period(adj, deg, edges, deleted, q, rng):
+def _drop_half_period(adj, deleted, rng):
     """q=4 shift by 3 mod 6: remove a prism (two triangles + a matching)."""
-    if q != 4 or len(edges) % (q * (q - 1) // 2) != 3:
-        return False
     verts = sorted(v for v in adj if adj[v])
+    if len(verts) < 6:
+        return
     for _ in range(4000):
-        if len(verts) < 6:
-            return False
         u = verts[rng.randrange(len(verts))]
         ns = sorted(adj[u])
         if len(ns) < 2:
@@ -689,25 +676,22 @@ def _drop_half_period(adj, deg, edges, deleted, q, rng):
             continue
         t1 = (u, a, b)
         pool = sorted(set(verts) - set(t1))
-        if not pool:
-            continue
         x = pool[rng.randrange(len(pool))]
         ms = sorted(adj[x] - set(t1))
         if len(ms) < 2:
             continue
         y, z = rng.sample(ms, 2)
-        if z not in adj[y] or y in t1 or z in t1:
+        if z not in adj[y]:
             continue
         t2 = (x, y, z)
         for perm in itertools.permutations(t2):
             if all(p in adj[s] for s, p in zip(t1, perm)):
                 for s, p in zip(t1, perm):
-                    _drop_edge(adj, deg, edges, deleted, s, p)
+                    _drop_edge(adj, deleted, s, p)
                 for t in (t1, t2):
                     for i in range(3):
-                        _drop_edge(adj, deg, edges, deleted, t[i], t[(i + 1) % 3])
-                return True
-    return False
+                        _drop_edge(adj, deleted, t[i], t[(i + 1) % 3])
+                return
 
 
 # ===================================================================

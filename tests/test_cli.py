@@ -682,6 +682,29 @@ def test_malformed_weighting_file_names_itself(tmp_path, capsys):
     assert "line 1" in domain_error(argv, capsys, wfile)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n0 1 2 1/2\n2 1 0 1/2\n", "line 3: clique (2, 1, 0) listed twice"),
+        ("2 0\n", "line 1: q must be at least 3, got 2"),
+        ("3 1\n0 0 1 1/2\n", "line 2: repeated vertex in clique [0, 0, 1]"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_weighting_file_refused_like_a_packing_file(tmp_path, capsys, command, text, message):
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(serialize_graph(complete_graph(4)))
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(text)
+    argv, seed_line = {
+        "verify": (["fractional", "verify", "--graph", str(gfile), "--weights", str(wfile),
+                    "--mode", "packing"], ""),
+        "sample": (["fractional", "sample", "--weights", str(wfile), "--big-d", "5",
+                    "--seed", "3"], "seed 3\n"),
+    }[command]
+    assert run(argv, capsys) == (1, "", f"{seed_line}error: bad {wfile}: {message}\n")
+
+
 def test_sidecar_missing_a_certificate_is_a_domain_error(tmp_path, capsys):
     out = tmp_path / "t.txt"
     run(["gadget", "transformer", "--q", "3", "--k", "2", "-o", str(out)], capsys)

@@ -1,7 +1,10 @@
 """Every name a module lists in __all__ exists, so a deleted class or
-function cannot stay exported, and every function the benchmark tracer
-wraps exists, so a deletion cannot break a traced benchmark run."""
+function cannot stay exported; every function the benchmark tracer
+wraps exists, so a deletion cannot break a traced benchmark run; and
+every private module-level name is used, so a deletion cannot leave a
+helper behind."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -44,3 +47,41 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(f"cliqueforge.{short}"), name)
     ]
     assert not missing, f"the tracer wraps missing functions: {missing}"
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level private function, class or
+    constant of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_is_referenced():
+    # a reference is a name or an attribute outside the definition
+    # itself; an import or a mention inside a string does not count
+    src = Path(__file__).resolve().parents[1] / "src" / "cliqueforge"
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    uses: dict[str, set[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(id(node))
+    orphans = [
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree)
+        if not uses.get(name, set()) - {id(n) for n in ast.walk(node)}
+    ]
+    assert not orphans, f"private names nothing references: {orphans}"

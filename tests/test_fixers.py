@@ -190,6 +190,64 @@ def test_apply_fixer_rejects_broken_embeddings():
         apply_fixer(missing, emb)
 
 
+def _remap(emb, change):
+    """emb with copies of its gadget maps, changed by change."""
+    maps = {key: dict(mp) for key, mp in emb.gadget_maps.items()}
+    change(maps)
+    return EmbeddedFixer(emb.blueprint, emb.order, maps)
+
+
+# two copies of the gadget on the root pair (0, 1)
+K, K2 = (0, 1, 1), (0, 1, 2)
+TAMPERED_EMBEDDINGS = {
+    "host-size": lambda h, e: (
+        Graph(h.n + 1, h.edges), e,
+        f"blueprint spans {h.n} vertices, host has {h.n + 1}; "
+        "every host vertex needs a degree target",
+    ),
+    "order-length": lambda h, e: (
+        h, EmbeddedFixer(e.blueprint, e.order[:-1], e.gadget_maps),
+        "order length does not match the blueprint",
+    ),
+    "order-repeat": lambda h, e: (
+        h, EmbeddedFixer(e.blueprint, e.order[:-1] + (0,), e.gadget_maps),
+        "order is not injective",
+    ),
+    "map-repeat": lambda h, e: (
+        h, _remap(e, lambda m: m[K].update({2: m[K][3]})),
+        f"gadget {K}: map is not injective",
+    ),
+    "map-short": lambda h, e: (
+        h, _remap(e, lambda m: m[K].pop(2)),
+        f"gadget {K}: map does not cover the gadget",
+    ),
+    "roots-swapped": lambda h, e: (
+        h, _remap(e, lambda m: m[K].update({0: m[K][1], 1: m[K][0]})),
+        f"gadget {K}: roots are not on the host pair",
+    ),
+    "copy-missing": lambda h, e: (
+        h, _remap(e, lambda m: m.pop(K)),
+        "gadget maps do not match the gadget copies",
+    ),
+    "copies-overlap": lambda h, e: (
+        h, _remap(e, lambda m: m.update({K2: dict(m[K])})),
+        f"edge {e.gadget_edges(K)[0]} realized twice",
+    ),
+    "edge-missing": lambda h, e: (
+        Graph(h.n, h.edges - {min(h.edges)}), e,
+        f"realized edge {min(h.edges)} is not a host edge",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tamper", TAMPERED_EMBEDDINGS.values(), ids=list(TAMPERED_EMBEDDINGS)
+)
+def test_validate_reports_each_tampering(tamper):
+    host, emb, problem = tamper(*realize_fixer(3))
+    assert problem in emb.validate(host)
+
+
 def test_embedded_fixer_json_round_trip():
     host, emb = realize_fixer(3)
     back = EmbeddedFixer.from_json(emb.to_json())

@@ -99,6 +99,8 @@ def test_weighting_loads_and_merge():
     assert w.edge_load(0, 3) == 0
     with pytest.raises(ValueError):
         CliqueWeighting(3, {(0, 1): 1})
+    with pytest.raises(ValueError, match="q must be at least 3, got 2"):
+        CliqueWeighting(2, {})
 
 
 def test_weighting_round_trip():
@@ -107,20 +109,29 @@ def test_weighting_round_trip():
     assert back.q == w.q and back.weights == w.weights
 
 
+WEIGHTING_ERRORS = {
+    "": "line 1: empty weighting file, expected 'q k' header",
+    "3\n": "line 1: expected 2 fields for weighting header, got 1",
+    "3 2\n0 1 2 1/2\n": "line 1: header promises 2 cliques, file has 1",
+    "3 1\n0 1 2\n": "line 2: expected 3 vertices and a weight",
+    "3 1\n0 1 x 1/2\n": "line 2: non-integer field in 'clique': '0 1 x'",
+    "3 2\n0 1 2 1/2\n0 1 2 1/2\n": "line 3: clique (0, 1, 2) listed twice",
+    # refused the way a packing file refuses them
+    "3 2\n0 1 2 1/2\n2 1 0 1/2\n": "line 3: clique (2, 1, 0) listed twice",
+    "2 0\n": "line 1: q must be at least 3, got 2",
+    "0 0\n": "line 1: q must be at least 3, got 0",
+    "-1 0\n": "line 1: q must be at least 3, got -1",
+    "3 1\n0 0 1 1/2\n": "line 2: repeated vertex in clique [0, 0, 1]",
+}
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "3\n",
-        "3 2\n0 1 2 1/2\n",  # count mismatch
-        "3 1\n0 1 2\n",  # missing weight
-        "3 1\n0 1 x 1/2\n",  # bad vertex
-        "3 2\n0 1 2 1/2\n0 1 2 1/2\n",  # duplicate clique
-    ],
+    "text, message", WEIGHTING_ERRORS.items(), ids=list(WEIGHTING_ERRORS)
 )
-def test_parse_weighting_rejects_malformed(text):
-    with pytest.raises(ValueError):
+def test_parse_weighting_rejects_malformed(text, message):
+    with pytest.raises(ValueError) as exc:
         parse_weighting(text)
+    assert str(exc.value) == message
 
 
 # ===================================================================

@@ -1,5 +1,6 @@
 """The gadget zoo: residue contracts, certificates, serialization."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from cliqueforge.gadgets import (
 from cliqueforge.density import rooted_2_density
 from cliqueforge.graphs import (
     Graph,
+    Packing,
     degree_residue_profile,
     is_kq_divisible,
     union,
@@ -186,9 +188,84 @@ def test_star_transformer_rejects_odd_k():
         anti_clique_absorber(4, k=4)
 
 
+def _tampered(bundle, **fields):
+    out = copy.copy(bundle)
+    for name, value in fields.items():
+        setattr(out, name, value)
+    return out
+
+
+# star_transformer(3, 2): T is the path 0-1-2-3 with both centers 4 and 5
+# joined to 1 and 2; L = {40, 43}, L' = {50, 53}; roots 0, 3, 4, 5
+TAMPERED_TRANSFORMERS = {
+    "t-edge-inside-roots": (
+        lambda b: {"t": union(b.t, Graph(6, [(0, 3)]))},
+        "T has an edge inside the root set: (0, 3)",
+    ),
+    "l-edge-leaves-roots": (
+        lambda b: {"l": union(b.l, Graph(6, [(1, 4)]))},
+        "L edge (1, 4) leaves the root set",
+    ),
+    "l-prime-edge-leaves-roots": (
+        lambda b: {"l_prime": union(b.l_prime, Graph(6, [(1, 5)]))},
+        "L' edge (1, 5) leaves the root set",
+    ),
+    "invalid-certificate": (
+        lambda b: {"decomp_tl": Packing(3, b.decomp_tl.cliques + ((0, 1, 4),))},
+        "decomp of T u L: edge (0, 1) covered twice (clique (0, 1, 4))",
+    ),
+    "incomplete-certificate": (
+        lambda b: {"decomp_tl_prime": Packing(3, b.decomp_tl_prime.cliques[1:])},
+        "decomp of T u L': 3 edges uncovered",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tamper, problem", TAMPERED_TRANSFORMERS.values(), ids=list(TAMPERED_TRANSFORMERS)
+)
+def test_verify_transformer_reports_each_tampering(tamper, problem):
+    b = star_transformer(3, 2)
+    assert problem in verify_transformer(_tampered(b, **tamper(b)))
+
+
 # ===================================================================
 # Absorbers
 # ===================================================================
+
+
+# trivial_absorber(K_3, 3): L is the triangle on the roots 0, 1, 2, A is
+# empty, and decomp_la is the triangle
+TAMPERED_ABSORBERS = {
+    "l-not-divisible": (
+        {"l": Graph(3, [(0, 1), (1, 2)])},
+        "L is not divisible",
+    ),
+    "a-edge-inside-roots": (
+        {"a": Graph(3, [(0, 1)])},
+        "A has an edge inside the root set: (0, 1)",
+    ),
+    "l-edge-leaves-roots": (
+        {"roots": (0, 1)},
+        "L edge (0, 2) leaves the root set",
+    ),
+    "invalid-certificate": (
+        {"decomp_a": Packing(3, [(0, 1, 2)])},
+        "decomp of A: clique (0, 1, 2) uses missing edge (0, 1)",
+    ),
+    "incomplete-certificate": (
+        {"decomp_la": Packing(3, [])},
+        "decomp of L u A: 3 edges uncovered",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, problem", TAMPERED_ABSORBERS.values(), ids=list(TAMPERED_ABSORBERS)
+)
+def test_verify_absorber_reports_each_tampering(fields, problem):
+    b = trivial_absorber(complete_graph(3), 3)
+    assert problem in verify_absorber(_tampered(b, **fields))
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -235,6 +312,9 @@ def test_nabla_absorber_rejects_bad_inputs():
         nabla_absorber(complete_graph(4), booster)  # not divisible
     with pytest.raises(ValueError):
         nabla_absorber(complete_graph(3), trivial_absorber(complete_graph(3), 3))
+    # without a base, L must have a trivial absorber
+    with pytest.raises(ValueError, match="the empty absorber requires one"):
+        nabla_absorber(nabla(3, complete_graph(3)), booster)
 
 
 # ===================================================================

@@ -221,22 +221,23 @@ def test_graph_format_layout():
     assert g.m == 2
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # missing header
-        "3\n",  # short header
-        "3 1\n",  # missing edge line
-        "3 1\n0 1\n1 2\n",  # extra edge line
-        "3 1\n0 a\n",  # not an integer
-        "3 1\n0 3\n",  # endpoint out of range
-        "3 1\n1 1\n",  # loop
-        "3 2\n0 1\n0 1\n",  # duplicate
-    ],
-)
-def test_parse_graph_rejects_malformed(text):
-    with pytest.raises(ValueError):
+GRAPH_ERRORS = {
+    "": "line 1: empty graph file, expected 'n m' header",
+    "3\n": "line 1: expected 2 fields for graph header, got 1",
+    "3 1\n": "line 1: header promises 1 edges, file has 0",
+    "3 1\n0 1\n1 2\n": "line 1: header promises 1 edges, file has 2",
+    "3 1\n0 a\n": "line 2: non-integer field in 'edge': '0 a'",
+    "3 1\n0 3\n": "line 2: edge (0, 3) out of range for n=3",
+    "3 1\n1 1\n": "line 2: loop at vertex 1",
+    "3 2\n0 1\n0 1\n": "duplicate edges: header promises 2, found 1 distinct",
+}
+
+
+@pytest.mark.parametrize("text, message", GRAPH_ERRORS.items(), ids=list(GRAPH_ERRORS))
+def test_parse_graph_rejects_malformed(text, message):
+    with pytest.raises(ValueError) as exc:
         parse_graph(text)
+    assert str(exc.value) == message
 
 
 @given(
@@ -259,8 +260,19 @@ def test_packing_round_trip(qc):
     assert parse_packing(serialize_packing(p)) == p
 
 
-def test_parse_packing_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_packing("3 1\n0 1\n")
-    with pytest.raises(ValueError):
-        parse_packing("2 0\n")
+PACKING_ERRORS = {
+    "3 1\n0 1\n": "line 2: expected 3 fields for clique, got 2",
+    "2 0\n": "line 1: q must be at least 3, got 2",
+    "": "line 1: empty packing file, expected 'q k' header",
+    "3 2\n0 1 2\n": "line 1: header promises 2 cliques, file has 1",
+    "3 1\n0 0 1\n": "line 2: repeated vertex in clique [0, 0, 1]",
+}
+
+
+@pytest.mark.parametrize(
+    "text, message", PACKING_ERRORS.items(), ids=list(PACKING_ERRORS)
+)
+def test_parse_packing_rejects_malformed(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_packing(text)
+    assert str(exc.value) == message
