@@ -63,12 +63,9 @@ from .graphs import Graph
 
 __all__ = [
     "DensityValue",
-    "ConcatenationBound",
     "max_rooted_density",
     "max_2_density",
     "rooted_2_density",
-    "rooted_degeneracy",
-    "check_concatenation",
     "evaluate_rooted_ratio",
     "evaluate_two_density_ratio",
 ]
@@ -317,69 +314,3 @@ def rooted_2_density(g: Graph, roots: Iterable[int]) -> DensityValue:
 def _check_three_vertices(g: Graph) -> None:
     if g.n < 3:
         raise ValueError(f"2-density needs at least 3 vertices, got {g.n}")
-
-
-def rooted_degeneracy(g: Graph, roots: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """Min-degree peeling of V(H) \\ R; returns (degeneracy, peel order).
-
-    Degrees count edges into roots.  If the peeling never sees degree
-    above d, then every subgraph has a non-root vertex of degree <= d,
-    which gives m_2(H, R) <= d for d >= 2 (e(H') <= d (v' - 2) whenever
-    H' keeps >= 2 roots, and e(H') <= d v' - binom(d+1, 2) in general).
-    """
-    rs = _check_roots(g, roots)
-    deg = {v: g.degree(v) for v in range(g.n) if v not in rs}
-    adj = g.adjacency()
-    order = []
-    value = 0
-    remaining = set(deg)
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
-        if deg[v] > value:
-            value = deg[v]
-        order.append(v)
-        remaining.remove(v)
-        for w in adj[v]:
-            if w in remaining:
-                deg[w] -= 1
-    return value, tuple(order)
-
-
-class ConcatenationBound:
-    """Pieces of the two-step density bound.
-
-    For H rooted at R and an induced proper subgraph H1 containing R,
-    m_2(H, R) <= max(m_2(H1, R), m_2(H - E(H1), V(H1))), and the same
-    holds for the plain rooted functional.  bound is the max of the two
-    piece values.
-    """
-
-    __slots__ = ("inner", "outer", "bound")
-
-    def __init__(self, inner: DensityValue, outer: DensityValue, bound: Fraction):
-        self.inner = inner
-        self.outer = outer
-        self.bound = bound
-
-    def __repr__(self):
-        return f"ConcatenationBound(inner={self.inner.value}, outer={self.outer.value})"
-
-
-def check_concatenation(
-    g: Graph,
-    roots: Iterable[int],
-    inner_vertices: Iterable[int],
-) -> ConcatenationBound:
-    """Validate the concatenation premises and compute both pieces."""
-    rs = frozenset(roots)
-    inner = frozenset(inner_vertices)
-    if not rs <= inner:
-        raise ValueError("inner vertex set must contain the roots")
-    if not inner < frozenset(range(g.n)):
-        raise ValueError("inner vertex set must be a proper subset of V(H)")
-    inner_edges = {e for e in g.edges if e[0] in inner and e[1] in inner}
-    h1 = Graph(g.n, inner_edges)
-    h2 = Graph(g.n, g.edges - inner_edges)
-    d1 = rooted_2_density(h1, rs)
-    d2 = rooted_2_density(h2, inner)
-    return ConcatenationBound(d1, d2, max(d1.value, d2.value))

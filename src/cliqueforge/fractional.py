@@ -39,8 +39,6 @@ __all__ = [
     "BoostResult",
     "boost",
     "fractional_kq_decomposition",
-    "two_layer_boost",
-    "verify_fractional",
     "fractional_problems",
     "SampleResult",
     "sample_regular_cliques",
@@ -65,13 +63,6 @@ class EdgeGadget:
         self.psi: dict[tuple[int, ...], Fraction] = psi
         self.max_abs = max(abs(v) for v in psi.values())
         self.bound_ok = self.max_abs <= 2**r * math.factorial(r)
-
-    def load(self, sub: tuple[int, ...]) -> Fraction:
-        """Total weight of the q-subsets containing sub."""
-        s = set(sub)
-        return sum(
-            (v for h, v in self.psi.items() if s <= set(h)), start=Fraction(0)
-        )
 
     def __repr__(self):
         return f"EdgeGadget(q={self.q}, r={self.r}, max_abs={self.max_abs})"
@@ -338,36 +329,6 @@ def fractional_kq_decomposition(g: Graph, q: int) -> BoostResult:
     return boost(g, q, h, qs, 1, d)
 
 
-def two_layer_boost(
-    g: Graph, q: int, first: CliqueWeighting, h_cliques, qset_cliques, p, d
-) -> BoostResult:
-    """Finish a partial first layer into a full fractional decomposition.
-
-    The first layer is scaled by 1/p (it was built on a p-fraction of
-    its cliques); the residual targets 1 - first(e)/p are boosted over
-    h_cliques and the layers are merged.  Residual targets must land
-    in [0, 1].
-    """
-    p = Fraction(p)
-    if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    targets = {}
-    for e in g.sorted_edges():
-        t = 1 - first.edge_load(*e) / p
-        if not 0 <= t <= 1:
-            raise ValueError(f"residual target {t} at edge {e} is outside [0, 1]")
-        targets[e] = t
-    res = boost(g, q, h_cliques, qset_cliques, targets, d)
-    merged = dict(res.weighting.weights)
-    for c, v in first.weights.items():
-        merged[c] = merged.get(c, Fraction(0)) + v / p
-    weighting = CliqueWeighting(q, merged)
-    for e in g.sorted_edges():
-        if weighting.edge_load(*e) != 1:
-            raise AssertionError(f"two-layer identity failed at edge {e}")
-    return BoostResult(weighting, res.in_range, res.max_deviation, res.c_range)
-
-
 # ===================================================================
 # Verification and sampling
 # ===================================================================
@@ -395,10 +356,6 @@ def fractional_problems(g: Graph, w: CliqueWeighting, mode: str) -> list[str]:
         elif mode == "packing" and not 0 <= load <= 1:
             problems.append(f"edge {e} has load {load}, outside [0, 1]")
     return problems
-
-
-def verify_fractional(g: Graph, w: CliqueWeighting, mode: str) -> bool:
-    return not fractional_problems(g, w, mode)
 
 
 class SampleResult:

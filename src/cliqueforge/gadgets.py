@@ -44,8 +44,6 @@ __all__ = [
     "anti_clique_absorber",
     "nabla_absorber",
     "trivial_absorber",
-    "absorber_certificates_disjoint",
-    "absorber_nonroot_degrees",
     "OmniVerifyReport",
     "verify_omni_absorber",
     "OmniAbsorber",
@@ -507,13 +505,10 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
         expect_edge_disjoint=True,
     )
 
-    def anti_cliques(anti_map):
-        return [e + anti_map[e] for e in sorted(anti_map)]
-
     decomp_la = Packing(
         q,
-        anti_cliques(ex2.anti)  # covers S1 (= L) and S2
-        + anti_cliques(pex1.anti)  # covers S'_0 and S'_1
+        list(ex2.tilde_decomposition().cliques)  # covers S1 (= L) and S2
+        + list(pex1.tilde_decomposition().cliques)  # covers S'_0 and S'_1
         + [
             tuple(sorted(connectors[e] + (phi[e[0]], phi[e[1]])))
             for e in s2.sorted_edges()
@@ -523,7 +518,7 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     decomp_a = Packing(
         q,
         [tuple(sorted(p_base_ids))]  # S'_0 as one clique
-        + anti_cliques(pex2.anti)  # covers S'_1 and S'_2
+        + list(pex2.tilde_decomposition().cliques)  # covers S'_1 and S'_2
         + [
             tuple(sorted(connectors[e] + e))
             for e in s2.sorted_edges()
@@ -603,21 +598,6 @@ def nabla_absorber(
             Packing(q, tilde + q2_cliques),
         )
     )
-
-
-def absorber_certificates_disjoint(bundle: AbsorberBundle) -> bool:
-    return not set(bundle.decomp_a.cliques) & set(bundle.decomp_la.cliques)
-
-
-def absorber_nonroot_degrees(bundle: AbsorberBundle) -> dict[int, int]:
-    """Degrees in A of the non-root vertices incident to an A-edge."""
-    roots = set(bundle.roots)
-    deg: dict[int, int] = {}
-    for u, v in bundle.a.edges:
-        for w in (u, v):
-            if w not in roots:
-                deg[w] = deg.get(w, 0) + 1
-    return deg
 
 
 # ===================================================================

@@ -16,12 +16,10 @@ __all__ = [
     "Graph",
     "Packing",
     "PackingReport",
-    "DegreeResidueProfile",
     "edge_key",
     "union",
     "subtract",
     "is_kq_divisible",
-    "degree_residue_profile",
     "optimal_leave_number",
     "leave_bound",
     "verify_packing",
@@ -94,9 +92,6 @@ class Graph:
             self._adj = adj
         return self._adj
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
-
     def degrees(self) -> list[int]:
         """Degrees by vertex, counted off the edges."""
         deg = [0] * self.n
@@ -146,44 +141,15 @@ def _spanning_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 # ===================================================================
 
 
-class DegreeResidueProfile:
-    """Degree residues mod (q-1) and edge residue mod binom(q,2)."""
-
-    __slots__ = ("q", "degree_residues", "edge_residue")
-
-    def __init__(self, q, degree_residues, edge_residue):
-        self.q = q
-        self.degree_residues: tuple[int, ...] = tuple(degree_residues)
-        self.edge_residue: int = edge_residue
-
-    def is_zero(self) -> bool:
-        return self.edge_residue == 0 and not any(self.degree_residues)
-
-    def __repr__(self):
-        return (
-            f"DegreeResidueProfile(q={self.q}, "
-            f"edge_residue={self.edge_residue}, "
-            f"degree_residues={self.degree_residues})"
-        )
-
-
 def _check_q(q: int) -> None:
     if q < 3:
         raise ValueError(f"q must be at least 3, got {q}")
 
 
-def degree_residue_profile(g: Graph, q: int) -> DegreeResidueProfile:
-    _check_q(q)
-    return DegreeResidueProfile(
-        q,
-        (d % (q - 1) for d in g.degrees()),
-        g.m % math.comb(q, 2),
-    )
-
-
 def is_kq_divisible(g: Graph, q: int) -> bool:
     """binom(q,2) divides e(G) and (q-1) divides every degree."""
-    return degree_residue_profile(g, q).is_zero()
+    _check_q(q)
+    return g.m % math.comb(q, 2) == 0 and not any(d % (q - 1) for d in g.degrees())
 
 
 def optimal_leave_number(g: Graph, q: int) -> int:
@@ -194,8 +160,8 @@ def optimal_leave_number(g: Graph, q: int) -> int:
     keeps e(H) = e(G) mod binom(q,2) and d_H(v) = d_G(v) mod (q-1), and
     2 e(H) = sum_v d_H(v) >= sum_v (d_G(v) mod (q-1)).
     """
-    prof = degree_residue_profile(g, q)
-    return leave_bound(prof.edge_residue, sum(prof.degree_residues), q)
+    _check_q(q)
+    return leave_bound(g.m, sum(d % (q - 1) for d in g.degrees()), q)
 
 
 def leave_bound(m: int, residue_sum: int, q: int) -> int:
@@ -321,8 +287,8 @@ def _parse_ints(line: str, lineno: int, count: int, what: str) -> list[int]:
 
 def _read_records(text: str, kind: str) -> tuple[int, list[tuple[int, str]]]:
     """The header's first field and the (lineno, line) records of a graph
-    ("n m" header), packing or weighting file ("q k", q at least 3);
-    blank lines and # comments are skipped."""
+    ("n m" header, n nonnegative), packing or weighting file ("q k", q at
+    least 3); blank lines and # comments are skipped."""
     lines = [
         (i, line)
         for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
@@ -335,6 +301,8 @@ def _read_records(text: str, kind: str) -> tuple[int, list[tuple[int, str]]]:
     first, count = _parse_ints(line, lineno, 2, f"{kind} header")
     if kind != "graph" and first < 3:
         raise ValueError(f"line {lineno}: q must be at least 3, got {first}")
+    elif first < 0:
+        raise ValueError(f"line {lineno}: vertex count must be nonnegative, got {first}")
     if len(lines) - 1 != count:
         raise ValueError(
             f"line {lineno}: header promises {count} {noun}, file has {len(lines) - 1}"
@@ -352,20 +320,18 @@ def _parse_clique(line: str, lineno: int, q: int) -> list[int]:
 
 def parse_graph(text: str) -> Graph:
     n, records = _read_records(text, "graph")
-    edges = []
+    edges = set()
     for lineno, line in records:
         u, v = _parse_ints(line, lineno, 2, "edge")
         if u == v:
             raise ValueError(f"line {lineno}: loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
-    g = Graph(n, edges)
-    if g.m != len(edges):
-        raise ValueError(
-            f"duplicate edges: header promises {len(edges)}, found {g.m} distinct"
-        )
-    return g
+        e = edge_key(u, v)
+        if e in edges:
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) listed twice")
+        edges.add(e)
+    return Graph(n, edges)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -7,10 +7,15 @@ Gauss-Jordan over the full load system, reference_boost, the plain
 Fraction form of the fractional boost, reference_pinned_search, the
 pinned 2-density search with every alive vertex free, and
 reference_repair, the pairing model's switch repair with a scan of the
-bad set per round.
+bad set per round.  The density bounds (rooted_degeneracy,
+concatenation_bound), the absorber diagnostics and two_layer_boost are
+checks built on the library, which itself never calls them.
 Nothing is imported from the package beyond the Graph container itself,
-save the min cut and core peeling that reference_pinned_search drives
-and the seeded streams that reference_gnd draws from.
+save the min cut and core peeling that reference_pinned_search drives,
+the seeded streams that reference_gnd draws from, rooted_2_density,
+which concatenation_bound evaluates on both pieces, and boost with its
+weighting and result types, which two_layer_boost finishes a first
+layer with.
 """
 
 from collections import Counter
@@ -18,7 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 import math
 
-from cliqueforge.density import _dinkelbach, _peel_to_core
+from cliqueforge.density import _dinkelbach, _peel_to_core, rooted_2_density
+from cliqueforge.fractional import BoostResult, CliqueWeighting, boost
 from cliqueforge.graphs import Graph
 from cliqueforge.randgraphs import stream
 
@@ -101,8 +107,58 @@ def reference_pinned_search(g: Graph, lam: Fraction, witness):
 
 
 # ===================================================================
+# Upper bounds on the rooted 2-density
+# ===================================================================
+
+
+def rooted_degeneracy(g: Graph, roots) -> tuple[int, tuple[int, ...]]:
+    """Min-degree peeling of V(H) \\ R; returns (degeneracy, peel order).
+
+    Degrees count edges into roots.  If the peeling never sees degree
+    above d, then every subgraph has a non-root vertex of degree <= d,
+    which gives m_2(H, R) <= d for d >= 2 (e(H') <= d (v' - 2) whenever
+    H' keeps >= 2 roots, and e(H') <= d v' - binom(d+1, 2) in general).
+    """
+    rs = set(roots)
+    adj = g.adjacency()
+    deg = {v: len(adj[v]) for v in range(g.n) if v not in rs}
+    order = []
+    value = 0
+    remaining = set(deg)
+    while remaining:
+        v = min(remaining, key=lambda x: (deg[x], x))
+        if deg[v] > value:
+            value = deg[v]
+        order.append(v)
+        remaining.remove(v)
+        for w in adj[v]:
+            if w in remaining:
+                deg[w] -= 1
+    return value, tuple(order)
+
+
+def concatenation_bound(g: Graph, roots, inner_vertices) -> Fraction:
+    """The two-step bound max(m_2(H1, R), m_2(H - E(H1), V(H1))).
+
+    For H rooted at R and the subgraph H1 that inner_vertices induce,
+    holding R and proper in H, it bounds m_2(H, R) from above.
+    """
+    rs = frozenset(roots)
+    inner = frozenset(inner_vertices)
+    inner_edges = {e for e in g.edges if e[0] in inner and e[1] in inner}
+    h1 = Graph(g.n, inner_edges)
+    h2 = Graph(g.n, g.edges - inner_edges)
+    return max(rooted_2_density(h1, rs).value, rooted_2_density(h2, inner).value)
+
+
+# ===================================================================
 # Divisibility and leaves
 # ===================================================================
+
+
+def residues(g: Graph, q: int) -> tuple[int, list[int]]:
+    """e(G) mod binom(q,2) and each degree mod q-1, by vertex."""
+    return g.m % math.comb(q, 2), [d % (q - 1) for d in g.degrees()]
 
 
 def brute_leave_bound(g, q: int) -> int:
@@ -248,6 +304,26 @@ def reference_fat_prefixes(body: Graph, pool: Graph, t: int, demand: int, cap=40
 
 
 # ===================================================================
+# Absorber diagnostics
+# ===================================================================
+
+
+def absorber_certificates_disjoint(bundle) -> bool:
+    return not set(bundle.decomp_a.cliques) & set(bundle.decomp_la.cliques)
+
+
+def absorber_nonroot_degrees(bundle) -> dict[int, int]:
+    """Degrees in A of the non-root vertices incident to an A-edge."""
+    roots = set(bundle.roots)
+    deg: dict[int, int] = {}
+    for u, v in bundle.a.edges:
+        for w in (u, v):
+            if w not in roots:
+                deg[w] = deg.get(w, 0) + 1
+    return deg
+
+
+# ===================================================================
 # Fractional boost, one Fraction update per gadget entry
 # ===================================================================
 
@@ -328,6 +404,36 @@ def reference_boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d):
     in_range = all(Fraction(1, 2) / d <= v <= Fraction(3, 2) / d for v in psi.values())
     max_dev = max((abs(d * v - 1) for v in psi.values()), default=Fraction(0))
     return psi, in_range, max_dev, (min(c_values), max(c_values))
+
+
+def two_layer_boost(
+    g: Graph, q: int, first: CliqueWeighting, h_cliques, qset_cliques, p, d
+) -> BoostResult:
+    """Finish a partial first layer into a full fractional decomposition.
+
+    The first layer is scaled by 1/p (it was built on a p-fraction of
+    its cliques); the residual targets 1 - first(e)/p are boosted over
+    h_cliques and the layers are merged.  Residual targets must land
+    in [0, 1].
+    """
+    p = Fraction(p)
+    if not 0 < p <= 1:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    targets = {}
+    for e in g.sorted_edges():
+        t = 1 - first.edge_load(*e) / p
+        if not 0 <= t <= 1:
+            raise ValueError(f"residual target {t} at edge {e} is outside [0, 1]")
+        targets[e] = t
+    res = boost(g, q, h_cliques, qset_cliques, targets, d)
+    merged = dict(res.weighting.weights)
+    for c, v in first.weights.items():
+        merged[c] = merged.get(c, Fraction(0)) + v / p
+    weighting = CliqueWeighting(q, merged)
+    for e in g.sorted_edges():
+        if weighting.edge_load(*e) != 1:
+            raise AssertionError(f"two-layer identity failed at edge {e}")
+    return BoostResult(weighting, res.in_range, res.max_deviation, res.c_range)
 
 
 # ===================================================================

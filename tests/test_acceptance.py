@@ -23,7 +23,6 @@ from cliqueforge.density import rooted_2_density
 from cliqueforge.fixers import FixerBlueprint, apply_fixer, inductive_select, realize_fixer
 from cliqueforge.fractional import edge_gadget, fractional_kq_decomposition, fractional_problems
 from cliqueforge.gadgets import (
-    absorber_nonroot_degrees,
     anti_clique_absorber,
     anti_edge,
     fake_edge,
@@ -43,7 +42,7 @@ from cliqueforge.solver import (
     verify_transformer,
 )
 
-from oracles import complete_graph, cycle_graph, max_codegree
+from oracles import absorber_nonroot_degrees, complete_graph, cycle_graph, max_codegree
 
 
 @contextmanager

@@ -654,6 +654,13 @@ def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys):
     assert "line 2" in domain_error(["density", "--in", str(f)], capsys, f)
 
 
+def test_repeated_edge_in_a_graph_file_names_its_line(tmp_path, capsys):
+    f = tmp_path / "dup.txt"
+    f.write_text("3 2\n0 1\n1 0\n")
+    message = f"error: bad {f}: line 3: edge (1, 0) listed twice\n"
+    assert run(["density", "--in", str(f)], capsys) == (1, "", message)
+
+
 def domain_error(argv, capsys, path):
     """argv exits 1 with one error line that names path, no traceback."""
     rc, _, stderr = run(argv, capsys)

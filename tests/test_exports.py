@@ -1,8 +1,9 @@
 """Every name a module lists in __all__ exists, so a deleted class or
-function cannot stay exported; every function the benchmark tracer
-wraps exists, so a deletion cannot break a traced benchmark run; and
-every private module-level name is used, so a deletion cannot leave a
-helper behind."""
+function cannot stay exported; every exported name is used outside the
+tests, so a name only the tests reach cannot come back; every function
+the benchmark tracer wraps exists, so a deletion cannot break a traced
+benchmark run; and every private module-level name is used, so a
+deletion cannot leave a helper behind."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cliqueforge"
 MODULES = [
     "cliqueforge",
     "cliqueforge.density",
@@ -35,7 +38,7 @@ def test_every_exported_name_resolves(name):
 def test_every_traced_name_resolves():
     # perfbench/tracer.py imports only the standard library, so it loads
     # by file path without perfbench on the import path
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -49,9 +52,13 @@ def test_every_traced_name_resolves():
     assert not missing, f"the tracer wraps missing functions: {missing}"
 
 
-def _private_definitions(tree):
-    """(name, node) for each module-level private function, class or
-    constant of a parsed module."""
+def _parse(folder):
+    return [ast.parse(path.read_text()) for path in sorted(folder.rglob("*.py"))]
+
+
+def _definitions(tree):
+    """(name, node) for each module-level function, class or constant of
+    a parsed module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -62,15 +69,12 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
-def test_every_private_helper_is_referenced():
-    # a reference is a name or an attribute outside the definition
-    # itself; an import or a mention inside a string does not count
-    src = Path(__file__).resolve().parents[1] / "src" / "cliqueforge"
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+def _uses(trees):
+    """Each name to the ids of the name and attribute nodes that refer to
+    it; an import or a mention inside a string does not count."""
     uses: dict[str, set[int]] = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -78,10 +82,46 @@ def test_every_private_helper_is_referenced():
                 uses.setdefault(node.id, set()).add(id(node))
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, set()).add(id(node))
+    return uses
+
+
+def _ids(node):
+    return {id(n) for n in ast.walk(node)}
+
+
+def test_every_private_helper_is_referenced():
+    # a reference is a name or an attribute outside the definition itself
+    trees = _parse(SRC)
+    uses = _uses(trees)
     orphans = [
         name
         for tree in trees
-        for name, node in _private_definitions(tree)
-        if not uses.get(name, set()) - {id(n) for n in ast.walk(node)}
+        for name, node in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and not uses.get(name, set()) - _ids(node)
     ]
     assert not orphans, f"private names nothing references: {orphans}"
+
+
+# independent re-checkers of a density witness, as the verify_* functions
+# are of the other constructions; the density module docstring names them
+UNREFERENCED_EXPORTS = {"evaluate_rooted_ratio", "evaluate_two_density_ratio"}
+
+
+def test_every_exported_name_is_referenced_outside_tests():
+    # a reference is a name or an attribute in src outside the name's own
+    # definition, or one anywhere in perfbench/ or benchmarks/; dunder
+    # metadata such as __version__ is read by packaging tools, not called
+    trees = _parse(SRC)
+    uses = _uses(trees)
+    outside = _uses(_parse(ROOT / "perfbench") + _parse(ROOT / "benchmarks"))
+    unused = []
+    for tree in trees:
+        defs = dict(_definitions(tree))
+        for name in ast.literal_eval(defs["__all__"].value) if "__all__" in defs else ():
+            if name.startswith("__") or name in outside or name in UNREFERENCED_EXPORTS:
+                continue
+            own = _ids(defs[name]) if name in defs else set()
+            if not uses.get(name, set()) - own:
+                unused.append(name)
+    assert not unused, f"exported names only the tests reach: {unused}"

@@ -12,8 +12,6 @@ from cliqueforge.gadgets import (
     AbsorberBundle,
     Gadget,
     TransformerBundle,
-    absorber_certificates_disjoint,
-    absorber_nonroot_degrees,
     anti_clique_absorber,
     anti_edge,
     fake_edge,
@@ -32,7 +30,6 @@ from cliqueforge.density import rooted_2_density
 from cliqueforge.graphs import (
     Graph,
     Packing,
-    degree_residue_profile,
     is_kq_divisible,
     union,
     verify_packing,
@@ -40,7 +37,13 @@ from cliqueforge.graphs import (
 from cliqueforge.solver import verify_absorber, verify_transformer
 
 from conftest import graphs
-from oracles import complete_graph, cycle_graph
+from oracles import (
+    absorber_certificates_disjoint,
+    absorber_nonroot_degrees,
+    complete_graph,
+    cycle_graph,
+    residues,
+)
 
 
 # ===================================================================
@@ -54,11 +57,11 @@ def test_anti_edge_structure_and_residues(q):
     assert gad.kind == "anti_edge" and gad.roots == (0, 1)
     assert gad.graph.n == q and gad.graph.m == math.comb(q, 2) - 1
     assert not gad.graph.has_edge(0, 1)
-    prof = degree_residue_profile(gad.graph, q)
+    edge_residue, degree_residues = residues(gad.graph, q)
     # exactly the negated residues of one real edge on the roots
-    assert prof.edge_residue == math.comb(q, 2) - 1
-    assert prof.degree_residues[0] == prof.degree_residues[1] == q - 2
-    assert all(r == 0 for r in prof.degree_residues[2:])
+    assert edge_residue == math.comb(q, 2) - 1
+    assert degree_residues[0] == degree_residues[1] == q - 2
+    assert all(r == 0 for r in degree_residues[2:])
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
@@ -69,11 +72,11 @@ def test_fake_edge_structure_and_residues(q):
     pairs = math.comb(q, 2) - 1
     assert gad.graph.n == q + pairs * (q - 2)
     assert gad.graph.m == pairs * (math.comb(q, 2) - 1)
-    prof = degree_residue_profile(gad.graph, q)
+    edge_residue, degree_residues = residues(gad.graph, q)
     # exactly the residues of one real edge on the roots
-    assert prof.edge_residue == 1
-    assert prof.degree_residues[0] == prof.degree_residues[1] == 1
-    assert all(r == 0 for r in prof.degree_residues[2:])
+    assert edge_residue == 1
+    assert degree_residues[0] == degree_residues[1] == 1
+    assert all(r == 0 for r in degree_residues[2:])
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cliqueforge.graphs import (
     Graph,
     Packing,
-    degree_residue_profile,
     edge_key,
     is_kq_divisible,
     optimal_leave_number,
@@ -23,7 +22,13 @@ from cliqueforge.graphs import (
 )
 
 from conftest import graphs
-from oracles import brute_leave_bound, brute_min_leave, complete_graph, cycle_graph
+from oracles import (
+    brute_leave_bound,
+    brute_min_leave,
+    complete_graph,
+    cycle_graph,
+    residues,
+)
 
 
 # ===================================================================
@@ -110,10 +115,17 @@ def test_union_and_subtract():
 
 
 def test_residue_profile_k4_q3():
-    prof = degree_residue_profile(complete_graph(4), 3)
-    assert prof.degree_residues == (1, 1, 1, 1)
-    assert prof.edge_residue == 0
-    assert not prof.is_zero()
+    g = complete_graph(4)
+    assert residues(g, 3) == (0, [1, 1, 1, 1])
+    assert not is_kq_divisible(g, 3)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("check", [is_kq_divisible, optimal_leave_number])
+def test_divisibility_refuses_q_below_3(check, q):
+    with pytest.raises(ValueError) as exc:
+        check(complete_graph(4), q)
+    assert str(exc.value) == f"q must be at least 3, got {q}"
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
@@ -229,7 +241,9 @@ GRAPH_ERRORS = {
     "3 1\n0 a\n": "line 2: non-integer field in 'edge': '0 a'",
     "3 1\n0 3\n": "line 2: edge (0, 3) out of range for n=3",
     "3 1\n1 1\n": "line 2: loop at vertex 1",
-    "3 2\n0 1\n0 1\n": "duplicate edges: header promises 2, found 1 distinct",
+    "3 2\n0 1\n0 1\n": "line 3: edge (0, 1) listed twice",
+    "3 2\n0 1\n1 0\n": "line 3: edge (1, 0) listed twice",
+    "-1 0\n": "line 1: vertex count must be nonnegative, got -1",
 }
 
 

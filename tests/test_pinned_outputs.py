@@ -34,7 +34,6 @@ from cliqueforge.fractional import (
     boost,
     fractional_kq_decomposition,
     serialize_weighting,
-    two_layer_boost,
 )
 from cliqueforge.gadgets import (
     anti_clique_absorber,
@@ -59,7 +58,7 @@ from cliqueforge.solver import (
     min_leave_packing,
 )
 
-from oracles import complete_graph, cycle_graph
+from oracles import complete_graph, cycle_graph, two_layer_boost
 
 PINNED = "4c4b3a9a5478ff6a7c0703f09d899c9506e75dd69b8c9a21ef37e80bea3a6cfb"
 PINNED_AT_SCALE = "56dd2faeb02f0ff3c81b0a167df22507a1b939c6aa280bf7f5858d57c1c38c1d"
