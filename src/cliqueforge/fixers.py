@@ -28,7 +28,7 @@ import json
 import math
 
 from .graphs import Graph, is_kq_divisible, subtract
-from .gadgets import fake_edge
+from .gadgets import _relabel_edges, fake_edge
 
 __all__ = [
     "FixerBlueprint",
@@ -197,12 +197,7 @@ class EmbeddedFixer:
         return (a, b) if a < b else (b, a)
 
     def gadget_edges(self, key: tuple[int, int, int]) -> list[tuple[int, int]]:
-        mp = self.gadget_maps[key]
-        out = []
-        for a, b in self.gadget.graph.edges:
-            x, y = mp[a], mp[b]
-            out.append((x, y) if x < y else (y, x))
-        return sorted(out)
+        return sorted(_relabel_edges(self.gadget.graph.edges, self.gadget_maps[key]))
 
     def realized_edges(self) -> list[tuple[int, int]]:
         out = [self.support_edge(u, v) for u, v in self.blueprint.pairs()]

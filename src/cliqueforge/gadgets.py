@@ -586,7 +586,7 @@ def nabla_absorber(
     a_prime = union(
         Graph(n, ex.graph.edges), Graph(n, copy_edges), expect_edge_disjoint=True
     )
-    tilde = [e + ex.anti[e] for e in sorted(l.edges)]
+    tilde = [c for c in ex.tilde_decomposition().cliques if c[:2] in l.edges]
     return _checked_bundle(
         AbsorberBundle(
             "nabla_absorber",

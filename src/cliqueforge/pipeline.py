@@ -2,12 +2,15 @@
 
 The pipeline packs a sampled random graph in stages: embed a spanning
 divisibility fixer (Hamilton path power plus fake-edge gadgets placed
-in a dedicated slice) and apply it, or repair by deletion, reserve an
-edge slice of the unfenced rest, pack the remainder greedily through
-the design hypergraph, complete leftovers through reserve cliques in
-one pass in edge-id order, then polish on all of G: fill the packing
-to maximality and run Stinson's switch walk on the leave for
-WALK_STEPS * e(G) steps, which may cover fixer-deleted edges again.
+in a dedicated slice) and apply it, or else fall back on the residue
+burn, which at q >= 4 deletes edges until every degree is divisible by
+q-1 and so fences them off from the greedy nibble, and at q = 3
+deletes nothing; reserve an edge slice of the unfenced rest, pack the
+remainder greedily through the design hypergraph, complete leftovers
+through reserve cliques in one pass in edge-id order, then polish on
+all of G: fill the packing to maximality and run Stinson's switch walk
+on the leave for WALK_STEPS * e(G) steps, which may cover
+fixer-deleted edges again.
 Stage failures always degrade to a larger leave, never to an invalid
 packing.  Inputs of at most EXACT_CUTOFF edges are solved exactly
 instead, with the same report and validity check.
@@ -550,144 +553,36 @@ def embed_fixer(
 
 
 def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]]:
-    """Greedy deletion repair toward divisibility (fallback path).
+    """The residue burn: the fallback fence when no fixer embeds.
 
-    q=3 pairs odd-degree vertices along shortest paths (interior
-    parities survive), then removes a cycle of the right length mod 3.
-    q>=4 burns residues on edges between bad vertices; at q=4 it then
-    removes a 3-regular 6-vertex subgraph when the edge count needs a
-    half-period shift.  Gives up gracefully; the caller keeps a larger leave.
+    At q >= 4 it deletes one edge at a time, drawn among the edges
+    joining two vertices whose degree is not divisible by q-1, else
+    among the edges of one such vertex, until every degree is divisible
+    or 6 e(G) steps have passed; the edge count stays where it falls.
+    The caller fences the deleted edges off from the greedy nibble and
+    the polish may cover them again.  At q = 3 it deletes nothing,
+    because the polish walk would cover those edges again.
     """
     deleted: list[tuple[int, int]] = []
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
-
-    if q == 3:
-        odd = sorted(v for v in range(g.n) if len(adj[v]) % 2)
-        while odd:
-            src = odd[0]
-            prev = {src: src}
-            queue = [src]
-            found = None
-            while queue and found is None:
-                nxt_queue = []
-                for u in queue:
-                    for w in sorted(adj[u]):
-                        if w in prev:
-                            continue
-                        prev[w] = u
-                        if w != src and len(adj[w]) % 2:
-                            found = w
-                            break
-                        nxt_queue.append(w)
-                    if found:
-                        break
-                queue = nxt_queue
-            if found is None:
+    for _ in range(6 * g.m if q > 3 else 0):
+        bad = [v for v in range(g.n) if len(adj[v]) % (q - 1)]
+        if not bad:
+            break
+        badset = set(bad)
+        pairs = [(u, w) for u in bad for w in sorted(adj[u]) if w in badset and u < w]
+        if pairs:
+            u, w = pairs[rng.randrange(len(pairs))]
+        else:
+            u = bad[rng.randrange(len(bad))]
+            if not adj[u]:
                 break
-            w = found
-            while w != src:
-                _drop_edge(adj, deleted, prev[w], w)
-                w = prev[w]
-            odd = sorted(v for v in range(g.n) if len(adj[v]) % 2)
-    else:
-        for _ in range(6 * g.m):
-            bad = [v for v in range(g.n) if len(adj[v]) % (q - 1)]
-            if not bad:
-                break
-            badset = set(bad)
-            pairs = [(u, w) for u in bad for w in sorted(adj[u]) if w in badset and u < w]
-            if pairs:
-                _drop_edge(adj, deleted, *pairs[rng.randrange(len(pairs))])
-            else:
-                u = bad[rng.randrange(len(bad))]
-                if not adj[u]:
-                    break
-                ws = sorted(adj[u])
-                _drop_edge(adj, deleted, u, ws[rng.randrange(len(ws))])
-
-    # at q=4, all degrees = 0 mod 3 give m = 0 mod 3, so a nonzero r is 3
-    r = (g.m - len(deleted)) % (q * (q - 1) // 2)
-    if r and not any(len(adj[v]) % (q - 1) for v in range(g.n)):
-        if q == 3:
-            _drop_cycle_mod(adj, deleted, r)
-        elif q == 4:
-            _drop_half_period(adj, deleted, rng)
-    return _spanning_subgraph(g, g.edges.difference(deleted)), deleted
-
-
-def _drop_edge(adj, deleted, u, w):
-    if w in adj[u]:
+            ws = sorted(adj[u])
+            w = ws[rng.randrange(len(ws))]
         adj[u].discard(w)
         adj[w].discard(u)
         deleted.append((u, w) if u < w else (w, u))
-
-
-def _drop_cycle_mod(adj, deleted, r):
-    """Delete one cycle with length = r (mod 3), found via BFS trees."""
-    for root in sorted(adj):
-        depth = {root: 0}
-        parent = {root: root}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in sorted(adj[u]):
-                    if w not in depth:
-                        depth[w] = depth[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-            queue = nxt
-        for u in sorted(depth):
-            for w in sorted(adj[u]):
-                if w <= u or parent.get(w) == u or parent.get(u) == w:
-                    continue
-                pu, pw = u, w
-                left, right = [u], [w]
-                while pu != pw:
-                    if depth[pu] >= depth[pw]:
-                        pu = parent[pu]
-                        left.append(pu)
-                    else:
-                        pw = parent[pw]
-                        right.append(pw)
-                cycle = left + right[-2::-1]
-                if len(cycle) % 3 == r:
-                    for i, x in enumerate(cycle):
-                        _drop_edge(adj, deleted, x, cycle[(i + 1) % len(cycle)])
-                    return
-
-
-def _drop_half_period(adj, deleted, rng):
-    """q=4 shift by 3 mod 6: remove a prism (two triangles + a matching)."""
-    verts = sorted(v for v in adj if adj[v])
-    if len(verts) < 6:
-        return
-    for _ in range(4000):
-        u = verts[rng.randrange(len(verts))]
-        ns = sorted(adj[u])
-        if len(ns) < 2:
-            continue
-        a, b = rng.sample(ns, 2)
-        if b not in adj[a]:
-            continue
-        t1 = (u, a, b)
-        pool = sorted(set(verts) - set(t1))
-        x = pool[rng.randrange(len(pool))]
-        ms = sorted(adj[x] - set(t1))
-        if len(ms) < 2:
-            continue
-        y, z = rng.sample(ms, 2)
-        if z not in adj[y]:
-            continue
-        t2 = (x, y, z)
-        for perm in itertools.permutations(t2):
-            if all(p in adj[s] for s, p in zip(t1, perm)):
-                for s, p in zip(t1, perm):
-                    _drop_edge(adj, deleted, s, p)
-                for t in (t1, t2):
-                    for i in range(3):
-                        _drop_edge(adj, deleted, t[i], t[(i + 1) % 3])
-                return
+    return _spanning_subgraph(g, g.edges.difference(deleted)), deleted
 
 
 # ===================================================================

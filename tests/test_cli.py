@@ -42,6 +42,7 @@ from cliqueforge.graphs import (
     Packing,
     serialize_graph,
     serialize_packing,
+    verify_packing,
 )
 from cliqueforge.pipeline import bench, pack_gnd, pack_gnp
 from cliqueforge.randgraphs import gnd, gnp, stream
@@ -179,6 +180,13 @@ def test_density_json_reports_the_witness(tmp_path, capsys):
         "witness": list(want.witness),
         "kind": want.kind,
     }
+
+
+def test_density_roots_that_are_not_ints_are_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "c8.txt"
+    f.write_text(serialize_graph(cycle_graph(8)))
+    err = usage_error(["density", "--in", str(f), "--roots", "1,x"], capsys)
+    assert "not a comma-separated int list: '1,x'" in err
 
 
 def test_density_roots_outside_the_graph_are_a_domain_error(tmp_path, capsys):
@@ -544,6 +552,21 @@ def test_verify_packing_and_decomposition_on_k7(tmp_path, capsys):
     rc, stdout, _ = run(["verify", "packing", "--graph", str(gfile), "--packing", str(pfile)], capsys)
     assert rc == 1
     assert stdout.endswith("problems\n")
+
+
+def test_verify_decomposition_names_each_problem_of_an_invalid_packing(tmp_path, capsys):
+    g = cycle_graph(6)
+    gfile = tmp_path / "c6.txt"
+    gfile.write_text(serialize_graph(g))
+    bad = Packing(3, [(0, 1, 2)])  # (0, 2) is no edge of C_6
+    pfile = tmp_path / "p.txt"
+    pfile.write_text(serialize_packing(bad))
+    rc, stdout, _ = run(["verify", "decomposition", "--graph", str(gfile), "--packing", str(pfile)],
+                        capsys)
+    problems = verify_packing(g, bad).problems
+    assert rc == 1 and problems
+    summary = f"invalid packing: {len(problems)} problems"
+    assert stdout == "".join(f"{line}\n" for line in (*problems, summary))
 
 
 def test_verify_packing_json_reports_the_leave_bound(tmp_path, capsys):

@@ -229,6 +229,14 @@ def test_two_density_needs_three_vertices():
         max_2_density(Graph(2, [(0, 1)]))
 
 
+def test_witness_checkers_refuse_degenerate_witnesses():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="witness has no non-root vertices"):
+        evaluate_rooted_ratio(g, [0, 3], [3, 0])
+    with pytest.raises(ValueError, match="needs at least 3 vertices"):
+        evaluate_two_density_ratio(g, [1, 2])
+
+
 def test_long_path_has_no_size_cap():
     g = path_graph(40)
     got = max_rooted_density(g, [])

@@ -24,6 +24,7 @@ from cliqueforge.solver import enumerate_cliques
 
 from oracles import (
     complete_graph,
+    path_graph,
     reference_boost,
     reference_gadget,
     solved_edge_gadget,
@@ -120,6 +121,8 @@ WEIGHTING_ERRORS = {
     "0 0\n": "line 1: q must be at least 3, got 0",
     "-1 0\n": "line 1: q must be at least 3, got -1",
     "3 1\n0 0 1 1/2\n": "line 2: repeated vertex in clique [0, 0, 1]",
+    "3 1\n0 1 2 x\n": "line 2: bad weight in '0 1 2 x'",
+    "3 1\n0 1 2 1/0\n": "line 2: bad weight in '0 1 2 1/0'",
 }
 
 
@@ -178,6 +181,18 @@ def test_boost_validates_inputs():
         boost(g, 3, h, [(0, 1, 2, 3)], 1, 5)  # not a (q+2)-set
     with pytest.raises(ValueError):
         boost(g, 3, h[:-1], qs, 1, 5)  # missing q-subset
+    targets = dict.fromkeys(g.sorted_edges()[1:], 1)
+    with pytest.raises(ValueError, match=r"target missing for edge \(0, 1\)"):
+        boost(g, 3, h, qs, targets, 5)
+
+
+def test_decomposition_of_hosts_without_q_cliques():
+    # no edge: the empty weighting decomposes it; edges but no
+    # triangle: refused before any boost
+    res = fractional_kq_decomposition(Graph(5, []), 3)
+    assert len(res.weighting) == 0 and res.in_range and res.max_deviation == 0
+    with pytest.raises(ValueError, match="graph has no q-cliques at all"):
+        fractional_kq_decomposition(path_graph(5), 3)
 
 
 def test_boost_refuses_q_below_3():

@@ -318,6 +318,11 @@ def test_nabla_absorber_rejects_bad_inputs():
     # without a base, L must have a trivial absorber
     with pytest.raises(ValueError, match="the empty absorber requires one"):
         nabla_absorber(nabla(3, complete_graph(3)), booster)
+    with pytest.raises(ValueError, match="base and booster disagree on q"):
+        nabla_absorber(complete_graph(3), booster, base=trivial_absorber(complete_graph(4), 4))
+    other = trivial_absorber(Graph(4, [(1, 2), (1, 3), (2, 3)]), 3)
+    with pytest.raises(ValueError, match="base absorber is not an absorber for this L"):
+        nabla_absorber(complete_graph(3), booster, base=other)
 
 
 # ===================================================================
@@ -354,6 +359,14 @@ def test_verify_omni_flags_a_bad_absorber():
     report = verify_omni_absorber(cycle_graph(6), Graph(6, []), 3)
     assert not report.ok
     assert len(report.failures) == 1
+
+
+def test_verify_omni_out_of_budget_is_unknown_not_ok():
+    # 5 search nodes cannot decompose A alone, nor C_6 with A
+    x = cycle_graph(6)
+    report = verify_omni_absorber(x, naive_omni_absorber(x).a, 3, budget_nodes=5)
+    assert not report.ok and report.failures == []
+    assert report.unknown == [((), "budget"), (tuple(x.sorted_edges()), "budget")]
 
 
 def test_naive_omni_caps():

@@ -60,7 +60,7 @@ from cliqueforge.solver import (
 
 from oracles import complete_graph, cycle_graph, two_layer_boost
 
-PINNED = "4c4b3a9a5478ff6a7c0703f09d899c9506e75dd69b8c9a21ef37e80bea3a6cfb"
+PINNED = "35d718aa46e1cb9d3614255f768e9462915faf35d86d6a35765d0d940e368b9c"
 PINNED_AT_SCALE = "56dd2faeb02f0ff3c81b0a167df22507a1b939c6aa280bf7f5858d57c1c38c1d"
 PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b4c7ef"
 # the cliques of the anti_clique_absorber(4) host's decomposition, in
@@ -69,7 +69,7 @@ PINNED_COVER = "b8e9da1c5d7fe15e352c8cfbd61810b05404dbc5857d0b17312c0c47e6b39459
 PINNED_GADGETS = "0a7ce6a9fd8b62163b6d2408aec47b5467277f452cb0713152d08b436e62d684"
 PINNED_EMBED_GND = "3c131f0f9bb7479ac174e408cfbb90567336b53ab8be95e3dd894be0a5a0578b"
 PINNED_MIN_LEAVE = "007ec31c2a93d7016ba089121700eb0524c014ef868eb89013ed895b0affdcc6"
-PINNED_DELETION = "070b7955766fd0354cdb1393e0ae6dbe2d58317edad321a4d5ffc28df9f6a250"
+PINNED_DELETION = "fdc6a747d78ffd831c50470d6b00a8429a0ae747b8b75ce9b4aac1cfa41a45f4"
 
 
 def _pack_doc(rep):
@@ -93,6 +93,7 @@ def _outputs():
         docs.append([res.status, res.leave, res.nodes, sorted(res.packing.cliques)])
     res = exact_decomposition(complete_graph(9), 3)
     docs.append([res.status, res.nodes, list(res.packing.cliques)])
+    docs.append(_pack_doc(pack_gnp(60, Fraction(3, 10), 3, 3)))
     return docs
 
 
@@ -186,7 +187,7 @@ def _digest(docs):
 
 def test_outputs_match_the_pinned_digest():
     docs = _outputs()
-    assert docs[0][1]["stages"]["reserve"] > 0  # reserve completion ran
+    assert docs[-1][1]["stages"]["reserve"] > 0  # reserve completion ran
     assert docs[2][0] == "exact"  # the exact-cutoff path
     assert _digest(docs) == PINNED
 
