@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph
 
@@ -70,34 +70,16 @@ __all__ = [
     "evaluate_two_density_ratio",
 ]
 
-class DensityValue:
+class DensityValue(NamedTuple):
     """An exact density value with the witness vertex set attaining it.
 
     kind is "rooted" or "two_density"; the witness re-evaluates to the
     value through evaluate_rooted_ratio / evaluate_two_density_ratio.
     """
 
-    __slots__ = ("value", "witness", "kind")
-
-    def __init__(self, value: Fraction, witness: tuple[int, ...], kind: str):
-        self.value = value
-        self.witness = witness
-        self.kind = kind
-
-    def __repr__(self):
-        return f"DensityValue({self.value}, witness={self.witness}, kind={self.kind})"
-
-    def __eq__(self, other):
-        if isinstance(other, DensityValue):
-            return (self.value, self.witness, self.kind) == (
-                other.value,
-                other.witness,
-                other.kind,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.witness, self.kind))
+    value: Fraction
+    witness: tuple[int, ...]
+    kind: str
 
 
 def _check_roots(g: Graph, roots: Iterable[int]) -> frozenset[int]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 from .graphs import Graph, is_kq_divisible, subtract
 from .gadgets import _relabel_edges, fake_edge
@@ -141,10 +142,7 @@ def inductive_select(
         for u in range(max(0, v - (q - 2)) if v >= blueprint.t else 0, v):
             if not need:
                 break
-            cap = mult.get((u, v), 0)
-            if not cap:
-                continue
-            c = min(need, cap)
+            c = min(need, mult[(u, v)])
             counts[(u, v)] = c
             dres[u] = (dres[u] - c) % (q - 1)
             need -= c
@@ -301,19 +299,13 @@ def realize_fixer(q: int, n_core: int = 10) -> tuple[Graph, EmbeddedFixer]:
 # ===================================================================
 
 
-class ApplyResult:
+class ApplyResult(NamedTuple):
     """Outcome of applying a fixer: the divisible remainder and the cut."""
 
-    __slots__ = ("graph", "deleted", "edge_target", "degree_targets")
-
-    def __init__(self, graph, deleted, edge_target, degree_targets):
-        self.graph: Graph = graph
-        self.deleted: tuple[tuple[int, int], ...] = tuple(deleted)
-        self.edge_target: int = edge_target
-        self.degree_targets: tuple[int, ...] = tuple(degree_targets)
-
-    def __repr__(self):
-        return f"ApplyResult(deleted={len(self.deleted)}, m'={self.graph.m})"
+    graph: Graph
+    deleted: tuple[tuple[int, int], ...]
+    edge_target: int
+    degree_targets: tuple[int, ...]
 
 
 def apply_fixer(g: Graph, emb: EmbeddedFixer) -> ApplyResult:
@@ -346,4 +338,4 @@ def apply_fixer(g: Graph, emb: EmbeddedFixer) -> ApplyResult:
     fixed = subtract(g, deleted)
     if not is_kq_divisible(fixed, q):
         raise AssertionError("fixer application left a non-divisible graph")
-    return ApplyResult(fixed, sorted(deleted), m_target, d_targets)
+    return ApplyResult(fixed, tuple(sorted(deleted)), m_target, tuple(d_targets))

@@ -26,9 +26,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, _check_q, _parse_clique, _read_records, _sorted_clique
 from .randgraphs import _threshold
+from .solver import enumerate_cliques
 
 __all__ = [
     "EdgeGadget",
@@ -50,22 +52,22 @@ __all__ = [
 # ===================================================================
 
 
-class EdgeGadget:
+class EdgeGadget(NamedTuple):
     """Signed weights on the q-subsets of e u J with unit load on e only."""
 
-    __slots__ = ("q", "r", "e", "j", "psi", "max_abs", "bound_ok")
+    q: int
+    r: int
+    e: tuple[int, ...]
+    j: tuple[int, ...]
+    psi: dict[tuple[int, ...], Fraction]
 
-    def __init__(self, q, r, e, j, psi):
-        self.q = q
-        self.r = r
-        self.e = e
-        self.j = j
-        self.psi: dict[tuple[int, ...], Fraction] = psi
-        self.max_abs = max(abs(v) for v in psi.values())
-        self.bound_ok = self.max_abs <= 2**r * math.factorial(r)
+    @property
+    def max_abs(self) -> Fraction:
+        return max(abs(v) for v in self.psi.values())
 
-    def __repr__(self):
-        return f"EdgeGadget(q={self.q}, r={self.r}, max_abs={self.max_abs})"
+    @property
+    def bound_ok(self) -> bool:
+        return self.max_abs <= 2**self.r * math.factorial(self.r)
 
 
 @lru_cache(maxsize=None)
@@ -185,22 +187,13 @@ def parse_weighting(text: str) -> CliqueWeighting:
 # ===================================================================
 
 
-class BoostResult:
+class BoostResult(NamedTuple):
     """Weighting plus the exactness and range diagnostics of one boost."""
 
-    __slots__ = ("weighting", "in_range", "max_deviation", "c_range")
-
-    def __init__(self, weighting, in_range, max_deviation, c_range):
-        self.weighting: CliqueWeighting = weighting
-        self.in_range: bool = in_range
-        self.max_deviation: Fraction = max_deviation
-        self.c_range: tuple[Fraction, Fraction] = c_range
-
-    def __repr__(self):
-        return (
-            f"BoostResult(cliques={len(self.weighting)}, in_range={self.in_range}, "
-            f"max_deviation={self.max_deviation})"
-        )
+    weighting: CliqueWeighting
+    in_range: bool
+    max_deviation: Fraction
+    c_range: tuple[Fraction, Fraction]
 
 
 def _as_targets(g: Graph, phi) -> dict[tuple[int, int], Fraction]:
@@ -314,8 +307,6 @@ def fractional_kq_decomposition(g: Graph, q: int) -> BoostResult:
     d is the mean number of q-cliques per edge.  Fails when some edge
     lies in no (q+2)-clique (then this recipe cannot reach load 1).
     """
-    from .solver import enumerate_cliques
-
     _check_q(q)
     if g.m == 0:
         return BoostResult(
@@ -358,21 +349,12 @@ def fractional_problems(g: Graph, w: CliqueWeighting, mode: str) -> list[str]:
     return problems
 
 
-class SampleResult:
+class SampleResult(NamedTuple):
     """Outcome of one Bernoulli clique draw."""
 
-    __slots__ = ("selected", "edge_degrees", "max_deviation")
-
-    def __init__(self, selected, edge_degrees, max_deviation):
-        self.selected: tuple[tuple[int, ...], ...] = tuple(selected)
-        self.edge_degrees: dict[tuple[int, int], int] = edge_degrees
-        self.max_deviation: Fraction = max_deviation
-
-    def __repr__(self):
-        return (
-            f"SampleResult(selected={len(self.selected)}, "
-            f"max_deviation={self.max_deviation})"
-        )
+    selected: tuple[tuple[int, ...], ...]
+    edge_degrees: dict[tuple[int, int], int]
+    max_deviation: Fraction
 
 
 def sample_regular_cliques(w: CliqueWeighting, big_d, rng) -> SampleResult:
@@ -403,4 +385,4 @@ def sample_regular_cliques(w: CliqueWeighting, big_d, rng) -> SampleResult:
     for e, load in w.loads().items():
         dev = abs(degrees.get(e, 0) - load * big_d / 2)
         max_dev = max(max_dev, dev)
-    return SampleResult(selected, degrees, max_dev)
+    return SampleResult(tuple(selected), degrees, max_dev)

@@ -17,7 +17,7 @@ including them would break all three residues at once.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, Packing, _check_q, is_kq_divisible, union
 from .solver import (
@@ -83,19 +83,13 @@ def _anti_edge_pairs(u: int, v: int, internals: tuple[int, ...]):
 # ===================================================================
 
 
-class Gadget:
+class Gadget(NamedTuple):
     """A rooted gadget graph with a kind tag."""
 
-    __slots__ = ("kind", "q", "graph", "roots")
-
-    def __init__(self, kind: str, q: int, graph: Graph, roots: tuple[int, ...]):
-        self.kind = kind
-        self.q = q
-        self.graph = graph
-        self.roots = roots
-
-    def __repr__(self):
-        return f"Gadget({self.kind}, q={self.q}, n={self.graph.n}, m={self.graph.m})"
+    kind: str
+    q: int
+    graph: Graph
+    roots: tuple[int, ...]
 
 
 def anti_edge(q: int) -> Gadget:
@@ -121,7 +115,7 @@ def fake_edge(q: int) -> Gadget:
 # ===================================================================
 
 
-class NablaExpansion:
+class NablaExpansion(NamedTuple):
     """One anti-edge per base edge, all internals fresh and disjoint.
 
     anti maps each base edge to its ordered internal vertex tuple.  The
@@ -129,13 +123,10 @@ class NablaExpansion:
     plus its anti-edge), available as tilde_decomposition().
     """
 
-    __slots__ = ("q", "base", "graph", "anti")
-
-    def __init__(self, q: int, base: Graph, graph: Graph, anti: dict):
-        self.q = q
-        self.base = base
-        self.graph = graph
-        self.anti = anti
+    q: int
+    base: Graph
+    graph: Graph
+    anti: dict[tuple[int, int], tuple[int, ...]]
 
     @property
     def full(self) -> Graph:
@@ -196,7 +187,7 @@ def tilde_nabla(q: int, base: Graph) -> Graph:
 # ===================================================================
 
 
-class TransformerBundle:
+class TransformerBundle(NamedTuple):
     """A transformer T between two stars L, L' on shared root leaves.
 
     x is the center of L, x_prime the center of L'; leaf_roots are the
@@ -204,38 +195,21 @@ class TransformerBundle:
     decomposes T u L'.  internals lists the non-root vertices.
     """
 
-    __slots__ = (
-        "q",
-        "k",
-        "t",
-        "l",
-        "l_prime",
-        "roots",
-        "x",
-        "x_prime",
-        "leaf_roots",
-        "internals",
-        "decomp_tl",
-        "decomp_tl_prime",
-    )
+    q: int
+    k: int | None
+    t: Graph
+    l: Graph
+    l_prime: Graph
+    x: int
+    x_prime: int
+    leaf_roots: tuple[int, ...]
+    internals: tuple[int, ...]
+    decomp_tl: Packing
+    decomp_tl_prime: Packing
 
-    def __init__(self, q, k, t, l, l_prime, x, x_prime, leaf_roots, internals,
-                 decomp_tl, decomp_tl_prime):
-        self.q = q
-        self.k = k
-        self.t = t
-        self.l = l
-        self.l_prime = l_prime
-        self.x = x
-        self.x_prime = x_prime
-        self.leaf_roots = leaf_roots
-        self.internals = internals
-        self.roots = tuple(sorted(leaf_roots + (x, x_prime)))
-        self.decomp_tl = decomp_tl
-        self.decomp_tl_prime = decomp_tl_prime
-
-    def __repr__(self):
-        return f"TransformerBundle(q={self.q}, k={self.k}, n={self.t.n}, m={self.t.m})"
+    @property
+    def roots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.leaf_roots + (self.x, self.x_prime)))
 
 
 def _triangle_transformer(k: int) -> TransformerBundle:
@@ -367,29 +341,20 @@ def _place_copy(mapping, fresh, nonroots, edges, certificates, edge_out, cert_ou
 # ===================================================================
 
 
-class AbsorberBundle:
+class AbsorberBundle(NamedTuple):
     """An absorber A for a divisible graph L, with both certificates.
 
     roots = support of L, independent in A.  decomp_a decomposes A and
     decomp_la decomposes L u A.
     """
 
-    __slots__ = ("kind", "q", "l", "a", "roots", "decomp_a", "decomp_la")
-
-    def __init__(self, kind, q, l, a, roots, decomp_a, decomp_la):
-        self.kind = kind
-        self.q = q
-        self.l = l
-        self.a = a
-        self.roots = roots
-        self.decomp_a = decomp_a
-        self.decomp_la = decomp_la
-
-    def __repr__(self):
-        return (
-            f"AbsorberBundle({self.kind}, q={self.q}, roots={len(self.roots)}, "
-            f"a_edges={self.a.m})"
-        )
+    kind: str
+    q: int
+    l: Graph
+    a: Graph
+    roots: tuple[int, ...]
+    decomp_a: Packing
+    decomp_la: Packing
 
 
 def _support(g: Graph) -> tuple[int, ...]:
@@ -475,7 +440,6 @@ def anti_clique_absorber(q: int, k: int = 2) -> AbsorberBundle:
     for v, es in sorted(adj_edges.items()):
         if len(es) % (q - 1):
             raise AssertionError(f"S2 degree at {v} not divisible by q-1")
-        es.sort()
         groups[v] = [es[i : i + q - 1] for i in range(0, len(es), q - 1)]
 
     a4_edges: list[tuple[int, int]] = []
@@ -605,7 +569,7 @@ def nabla_absorber(
 # ===================================================================
 
 
-class OmniVerifyReport:
+class OmniVerifyReport(NamedTuple):
     """Outcome of checking the omni property subgraph by subgraph.
 
     failures lists divisible edge subsets refuted by exhausted search
@@ -614,21 +578,11 @@ class OmniVerifyReport:
     appears in, over the successful checks.
     """
 
-    __slots__ = ("ok", "checked", "failures", "unknown", "refinement")
-
-    def __init__(self, ok, checked, failures, unknown, refinement):
-        self.ok = ok
-        self.checked = checked
-        self.failures = failures
-        self.unknown = unknown
-        self.refinement = refinement
-
-    def __repr__(self):
-        return (
-            f"OmniVerifyReport(ok={self.ok}, checked={self.checked}, "
-            f"failures={len(self.failures)}, unknown={len(self.unknown)}, "
-            f"refinement={self.refinement})"
-        )
+    ok: bool
+    checked: int
+    failures: list[tuple[tuple, str]]
+    unknown: list[tuple[tuple, str]]
+    refinement: int
 
 
 def verify_omni_absorber(
@@ -676,23 +630,17 @@ def verify_omni_absorber(
     )
 
 
-class OmniAbsorber:
+class OmniAbsorber(NamedTuple):
     """Private-absorber union with a per-subgraph decomposition table.
 
     table maps each divisible edge subset L of X, the empty one first,
     to a decomposition of L u A.
     """
 
-    __slots__ = ("q", "x", "a", "table")
-
-    def __init__(self, q, x, a, table):
-        self.q = q
-        self.x = x
-        self.a = a
-        self.table: dict[frozenset, Packing] = table
-
-    def __repr__(self):
-        return f"OmniAbsorber(q={self.q}, a_edges={self.a.m}, entries={len(self.table)})"
+    q: int
+    x: Graph
+    a: Graph
+    table: dict[frozenset, Packing]
 
 
 # The bounded search of naive_omni_absorber: at most this many fresh

@@ -10,7 +10,7 @@ k = e(G) mod binom(q,2) and 2k >= sum_v (d(v) mod (q-1)).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Graph",
@@ -223,20 +223,11 @@ class Packing:
         return f"Packing(q={self.q}, k={len(self.cliques)})"
 
 
-class PackingReport:
-    __slots__ = ("valid", "covered", "leave", "problems")
-
-    def __init__(self, valid, covered, leave, problems):
-        self.valid: bool = valid
-        self.covered: int = covered
-        self.leave: Graph = leave
-        self.problems: tuple[str, ...] = tuple(problems)
-
-    def __repr__(self):
-        return (
-            f"PackingReport(valid={self.valid}, covered={self.covered}, "
-            f"leave={self.leave.m}, problems={len(self.problems)})"
-        )
+class PackingReport(NamedTuple):
+    valid: bool
+    covered: int
+    leave: Graph
+    problems: tuple[str, ...]
 
 
 def verify_packing(g: Graph, p: Packing) -> PackingReport:
@@ -262,7 +253,7 @@ def verify_packing(g: Graph, p: Packing) -> PackingReport:
                 else:
                     seen.add(e)
     leave = _spanning_subgraph(g, g.edges - seen)
-    return PackingReport(not problems, len(seen), leave, problems)
+    return PackingReport(not problems, len(seen), leave, tuple(problems))
 
 
 # ===================================================================

@@ -32,6 +32,7 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fixers import FixerBlueprint, EmbeddedFixer, apply_fixer
 from .gadgets import anti_edge, nabla_expansion
@@ -307,21 +308,18 @@ def _polish(h: CliqueIndex, chosen: list[int], used: set, rng, steps: int) -> in
 # ===================================================================
 
 
-class ReserveMatchingResult:
-    """ok, the nibble and reserve clique ids, the stranded A-edge ids and
-    the edge ids the packing covers, all in the ids of one clique index."""
+class ReserveMatchingResult(NamedTuple):
+    """The nibble and reserve clique ids, the stranded A-edge ids and the
+    edge ids the packing covers, all in the ids of one clique index."""
 
-    __slots__ = ("ok", "nibble_cliques", "reserve_cliques", "stranded", "used")
+    nibble_cliques: list[int]
+    reserve_cliques: list[int]
+    stranded: tuple[int, ...]
+    used: set[int]
 
-    def __init__(self, ok, nibble_cliques, reserve_cliques, stranded, used):
-        self.ok: bool = ok
-        self.nibble_cliques: list[int] = nibble_cliques
-        self.reserve_cliques: list[int] = reserve_cliques
-        self.stranded: tuple[int, ...] = stranded
-        self.used: set[int] = used
-
-    def __repr__(self):
-        return f"ReserveMatchingResult(ok={self.ok}, stranded={len(self.stranded)})"
+    @property
+    def ok(self) -> bool:
+        return not self.stranded
 
 
 def matching_with_reserves(index: CliqueIndex, zone, rng) -> ReserveMatchingResult:
@@ -353,9 +351,7 @@ def matching_with_reserves(index: CliqueIndex, zone, rng) -> ReserveMatchingResu
         reserve_chosen.append(t)
         used.update(hedges[t])
 
-    return ReserveMatchingResult(
-        not stranded, chosen, reserve_chosen, tuple(stranded), used
-    )
+    return ReserveMatchingResult(chosen, reserve_chosen, tuple(stranded), used)
 
 
 # ===================================================================
@@ -575,8 +571,6 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
             u, w = pairs[rng.randrange(len(pairs))]
         else:
             u = bad[rng.randrange(len(bad))]
-            if not adj[u]:
-                break
             ws = sorted(adj[u])
             w = ws[rng.randrange(len(ws))]
         adj[u].discard(w)
@@ -590,40 +584,22 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
 # ===================================================================
 
 
-class PackReport:
+class PackReport(NamedTuple):
     """Result of one pipeline run; to_json follows the stable schema."""
 
-    __slots__ = (
-        "n",
-        "p",
-        "d",
-        "q",
-        "seed",
-        "stages",
-        "leave",
-        "optimal_leave",
-        "valid",
-        "ms",
-        "packing",
-        "fixer_mode",
-        "deleted",
-    )
-
-    def __init__(self, n, p, d, q, seed, stages, leave, optimal_leave, valid, ms,
-                 packing, fixer_mode, deleted):
-        self.n = n
-        self.p = p
-        self.d = d
-        self.q = q
-        self.seed = seed
-        self.stages: dict[str, int] = stages
-        self.leave: int = leave
-        self.optimal_leave: int = optimal_leave
-        self.valid: bool = valid
-        self.ms: int = ms
-        self.packing: Packing = packing
-        self.fixer_mode: str = fixer_mode
-        self.deleted = deleted
+    n: int
+    p: Fraction | None
+    d: int | None
+    q: int
+    seed: int
+    stages: dict[str, int]
+    leave: int
+    optimal_leave: int
+    valid: bool
+    ms: int
+    packing: Packing
+    fixer_mode: str
+    deleted: tuple[tuple[int, int], ...]
 
     def to_json(self, include_ms: bool = True) -> dict:
         out = {
@@ -643,12 +619,6 @@ class PackReport:
         if include_ms:
             out["ms"] = self.ms
         return out
-
-    def __repr__(self):
-        return (
-            f"PackReport(n={self.n}, q={self.q}, leave={self.leave}, "
-            f"valid={self.valid})"
-        )
 
 
 def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:

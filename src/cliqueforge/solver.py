@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import getitem, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
     Graph,
@@ -258,18 +258,12 @@ class _ExactCover:
                 yield list(self.solution)
 
 
-class DecompResult:
+class DecompResult(NamedTuple):
     """status is "found", "none", or "budget"."""
 
-    __slots__ = ("status", "packing", "nodes")
-
-    def __init__(self, status: str, packing: Packing | None, nodes: int):
-        self.status = status
-        self.packing = packing
-        self.nodes = nodes
-
-    def __repr__(self):
-        return f"DecompResult(status={self.status!r}, nodes={self.nodes})"
+    status: str
+    packing: Packing | None
+    nodes: int
 
 
 def exact_decomposition(
@@ -334,19 +328,13 @@ def exact_cover_solutions(
 # ===================================================================
 
 
-class MinLeaveResult:
+class MinLeaveResult(NamedTuple):
     """status is "optimal" or "budget" (best found within budget)."""
 
-    __slots__ = ("status", "packing", "leave", "nodes")
-
-    def __init__(self, status, packing, leave, nodes):
-        self.status: str = status
-        self.packing: Packing = packing
-        self.leave: int = leave
-        self.nodes: int = nodes
-
-    def __repr__(self):
-        return f"MinLeaveResult(status={self.status!r}, leave={self.leave})"
+    status: str
+    packing: Packing
+    leave: int
+    nodes: int
 
 
 def min_leave_packing(

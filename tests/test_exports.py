@@ -2,12 +2,16 @@
 function cannot stay exported; every exported name is used outside the
 tests, so a name only the tests reach cannot come back; every function
 the benchmark tracer wraps exists, so a deletion cannot break a traced
-benchmark run; and every private module-level name is used, so a
-deletion cannot leave a helper behind."""
+benchmark run; every private module-level name is used, so a
+deletion cannot leave a helper behind; and importing the package loads
+neither dataclasses nor inspect, whose import alone costs more than the
+whole package."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,19 @@ def test_every_exported_name_resolves(name):
     assert module.__all__
     missing = [x for x in module.__all__ if not hasattr(module, x)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since this one has long since loaded both;
+    # the command line imports every module of the package
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import cliqueforge.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_every_traced_name_resolves():

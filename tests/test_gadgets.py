@@ -1,6 +1,5 @@
 """The gadget zoo: residue contracts, certificates, serialization."""
 
-import copy
 import math
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliqueforge import gadgets
 from cliqueforge.gadgets import (
     AbsorberBundle,
     Gadget,
@@ -192,10 +192,7 @@ def test_star_transformer_rejects_odd_k():
 
 
 def _tampered(bundle, **fields):
-    out = copy.copy(bundle)
-    for name, value in fields.items():
-        setattr(out, name, value)
-    return out
+    return bundle._replace(**fields)
 
 
 # star_transformer(3, 2): T is the path 0-1-2-3 with both centers 4 and 5
@@ -367,6 +364,23 @@ def test_verify_omni_out_of_budget_is_unknown_not_ok():
     report = verify_omni_absorber(x, naive_omni_absorber(x).a, 3, budget_nodes=5)
     assert not report.ok and report.failures == []
     assert report.unknown == [((), "budget"), (tuple(x.sorted_edges()), "budget")]
+
+
+def test_naive_omni_refuses_when_no_host_size_has_an_absorber(monkeypatch):
+    monkeypatch.setattr(gadgets, "OMNI_MAX_FRESH", 1)
+    with pytest.raises(
+        ValueError,
+        match="no private absorber for a divisible subgraph with 6 edges "
+        "within 1 fresh vertices",
+    ):
+        naive_omni_absorber(cycle_graph(6))
+
+
+def test_naive_omni_moves_on_when_the_search_budget_runs_out(monkeypatch):
+    # every host size exhausts its one node, so all six are tried
+    monkeypatch.setattr(gadgets, "OMNI_BUDGET_NODES", 1)
+    with pytest.raises(ValueError, match="with 6 edges within 6 fresh vertices"):
+        naive_omni_absorber(cycle_graph(6))
 
 
 def test_naive_omni_caps():

@@ -379,6 +379,15 @@ def test_embed_fixer_fails_loudly_on_sparse_hosts():
         embed_fixer(g, 3, stream(3, "embed"), pool)
 
 
+def test_embed_fixer_refuses_a_body_with_no_spanning_path_power():
+    # two disjoint K_20: the pool is large enough, but no path spans both
+    g = Graph(40, [e for s in (0, 20) for e in combinations(range(s, s + 20), 2)])
+    pool, _ = slice_graph(g, Fraction(1, 4), 0)
+    assert pool.m == 101
+    with pytest.raises(EmbedFailure, match="no spanning path power found"):
+        embed_fixer(g, 3, stream(0, "embed"), pool)
+
+
 @pytest.mark.parametrize("g, q, per", [
     (gnp(40, Fraction(4, 5), 0), 3, 4),
     # the q=4 fat zone anchors 33 gadgets of 25 edges on three roots,
@@ -547,8 +556,7 @@ def test_exact_cutoff_path_recounts_the_leave(monkeypatch):
     # a search result whose leave disagrees with its packing is invalid
     def miscounted(g, q):
         res = solver.min_leave_packing(g, q)
-        res.leave += 1
-        return res
+        return res._replace(leave=res.leave + 1)
 
     monkeypatch.setattr(pipeline, "min_leave_packing", miscounted)
     rep = pack_gnp(8, Fraction(1, 2), 3, 5)
