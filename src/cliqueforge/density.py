@@ -53,8 +53,6 @@ rooted_2_density pins edges only for sets that beat the rooted value,
 so ties keep the rooted witness.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple

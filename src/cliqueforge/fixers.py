@@ -22,8 +22,6 @@ set, which shifts all residues exactly like deleting one edge at its
 root pair.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from typing import NamedTuple

@@ -14,13 +14,17 @@ and verification enforces nonnegativity separately.
 Boosting perturbs the uniform weighting 1/d by gadget multiples so
 that every edge load lands exactly on its target: the per-edge
 corrections do not interact because each gadget loads only its own
-edge.  At each (q+2)-clique the gadgets of its pairs sum by pair and
-star sums of their multiples.  The sum runs on integer numerators over
-one common denominator, and each weight becomes one Fraction at the
-end: still exact, with no floats and no tolerances.
+edge.  The boost numbers the edges and the distinct q-cliques in
+sorted order and reads each (q+2)-clique once into the ids of its
+pairs and of its q-subsets; the counts, the multiples, the sums and the
+loads are then lists indexed by id.  At each (q+2)-clique a q-subset
+takes the multiples of the clique's pairs weighted by how many
+vertices it shares with each pair, which is one sum over the whole
+clique and one multiple, that of its complementary pair.  The sum runs
+on integer numerators over one common denominator, and only the range
+of the corrections and the weights become Fractions at the end: still
+exact, with no floats and no tolerances.
 """
-
-from __future__ import annotations
 
 import itertools
 import math
@@ -129,7 +133,9 @@ class CliqueWeighting:
         ws: dict[tuple[int, ...], Fraction] = {}
         for c, v in weights.items():
             t = _sorted_clique(c, q)
-            ws[t] = ws.get(t, Fraction(0)) + Fraction(v)
+            if type(v) is not Fraction:  # Fraction(v) would copy a Fraction
+                v = Fraction(v)
+            ws[t] = ws[t] + v if t in ws else v
         self.weights = ws
         self._loads = None
 
@@ -196,16 +202,24 @@ class BoostResult(NamedTuple):
     c_range: tuple[Fraction, Fraction]
 
 
-def _as_targets(g: Graph, phi) -> dict[tuple[int, int], Fraction]:
+def _as_targets(g: Graph, phi) -> list[Fraction]:
+    """The target of each edge of g, in sorted edge order."""
     if isinstance(phi, dict):
-        out = {}
+        out = []
         for e in g.sorted_edges():
             if e not in phi:
                 raise ValueError(f"target missing for edge {e}")
-            out[e] = Fraction(phi[e])
+            out.append(Fraction(phi[e]))
         return out
-    val = Fraction(phi)
-    return {e: val for e in g.sorted_edges()}
+    return [Fraction(phi)] * g.m
+
+
+def _pair_ids(eid: dict[tuple[int, int], int], c: tuple[int, ...]) -> list[int]:
+    """The edge ids of the pairs of c in order, -1 for a pair that is no edge."""
+    ids = list(map(eid.get, itertools.combinations(c, 2)))
+    if None in ids:
+        ids = [-1 if i is None else i for i in ids]
+    return ids
 
 
 def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
@@ -218,87 +232,103 @@ def boost(g: Graph, q: int, h_cliques, qset_cliques, phi, d) -> BoostResult:
     loads are asserted equal to the targets (the corrections at
     different edges never interact).
 
+    The edges of g and the distinct cliques of h_cliques are numbered in
+    sorted order, and each (q+2)-clique is read once into the ids of its
+    pairs (-1 for a pair that is no edge) and of its q-subsets, the
+    subset without a pair standing at that pair's place.  Everything
+    after the read runs on lists indexed by id.
+
     The sum runs on integer numerators over one denominator L * den:
-    L is the lcm of the denominators of 1/d and of every c_e/d, and den
-    that of the gadget, so each weight is one exact Fraction at the end.
-    With k_p the multiple at pair p, the gadgets of all pairs of a
-    (q+2)-clique Q put x2 K + (x1 - x2)(S_a + S_b) + (x0 - 2 x1 + x2) k_ab
-    on the q-set Q - {a, b}: K sums k_p over the pairs of Q, and S_v
-    over those containing v.
+    L is the lcm of d's numerator and of the denominators of every c_e/d,
+    so that k_e = L c_e/d is an integer, and den is that of the gadget;
+    each weight is one exact Fraction at the end.  The gadget at the pair
+    ab of a (q+2)-clique Q puts x_j k_ab on a q-set meeting ab in j
+    vertices, so the q-set h = Q - {a, b} gets x0 k_ab + x1 (K_Q - K_h
+    - k_ab) + x2 K_h = x1 K_Q + (x0 - x1) k_ab + (x2 - x1) K_h from all
+    pairs of Q, with K the sum of k over the pairs of a set.  The last
+    term is the same at every Q around h, so it is added once, times
+    their number.
     """
     _check_q(q)
     d = Fraction(d)
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
     targets = _as_targets(g, phi)
-    hset = {tuple(sorted(c)) for c in h_cliques}
-    h_at_edge: dict[tuple[int, int], int] = {}
-    for h in hset:
-        for e in itertools.combinations(h, 2):
-            h_at_edge[e] = h_at_edge.get(e, 0) + 1
-    q_at_edge: dict[tuple[int, int], int] = {}
-    qsets = []
-    for qc in qset_cliques:
-        qc = tuple(sorted(qc))
+    edges = g.sorted_edges()
+    eid = {e: i for i, e in enumerate(edges)}
+    hs = sorted(set(map(tuple, map(sorted, h_cliques))))
+    hid = {h: i for i, h in enumerate(hs)}
+    h_pairs = [_pair_ids(eid, h) for h in hs]
+    # |H(e)| by edge id, slot -1 counting the pairs that are no edge
+    h_at = [0] * (len(edges) + 1)
+    for pairs in h_pairs:
+        for i in pairs:
+            h_at[i] += 1
+    # the pair ids and q-subset ids of each (q+2)-clique, duplicates
+    # included; the q-subsets in reverse order are the complements of
+    # the pairs in order.  q_at counts the (q+2)-cliques at each edge,
+    # |Q(e)|.
+    reads = []
+    q_at = [0] * (len(edges) + 1)
+    for qc in map(tuple, map(sorted, qset_cliques)):
         if len(qc) != q + 2:
             raise ValueError(f"{qc} is not a (q+2)-set")
-        for sub in itertools.combinations(qc, q):
-            if sub not in hset:
-                raise ValueError(
-                    f"q-subset {sub} of {qc} is not among the chosen cliques"
-                )
-        for e in itertools.combinations(qc, 2):
-            q_at_edge[e] = q_at_edge.get(e, 0) + 1
-        qsets.append(qc)
+        subs = list(map(hid.get, itertools.combinations(qc, q)))
+        if None in subs:
+            sub = list(itertools.combinations(qc, q))[subs.index(None)]
+            raise ValueError(f"q-subset {sub} of {qc} is not among the chosen cliques")
+        subs.reverse()
+        pairs = _pair_ids(eid, qc)
+        for i in pairs:
+            q_at[i] += 1
+        reads.append((pairs, subs))
 
-    c_values = []
-    scales = {}
-    for e in g.sorted_edges():
-        at = q_at_edge.get(e)
+    # c_e/d = (dn tn - |H(e)| dd td) / (dn td |Q(e)|) for d = dn/dd and
+    # phi(e) = tn/td, kept in lowest terms
+    dn, dd = d.numerator, d.denominator
+    scales = []
+    for e, t, at, ht in zip(edges, targets, q_at, h_at):
         if not at:
             raise ValueError(f"cannot boost: edge {e} is in no (q+2)-clique")
-        c_e = (d * targets[e] - h_at_edge.get(e, 0)) / at
-        c_values.append(c_e)
-        if c_e:
-            scales[e] = c_e / d
-    big_l = math.lcm(d.numerator, *(x.denominator for x in scales.values()))
-    k = {e: x.numerator * (big_l // x.denominator) for e, x in scales.items()}
+        num = dn * t.numerator - ht * dd * t.denominator
+        den_e = dn * t.denominator * at
+        common = math.gcd(num, den_e)
+        scales.append((num // common, den_e // common))
+    big_l = math.lcm(dn, *(den_e for _, den_e in scales))
+    k = [num * (big_l // den_e) for num, den_e in scales]
+    # c_e = d k_e / L, so the extremes of c are those of k
+    k_lo, k_hi = (min(k), max(k)) if k else (0, 0)
+    c_range = (Fraction(k_lo * dn, big_l * dd), Fraction(k_hi * dn, big_l * dd))
+    k.append(0)  # at id -1
 
     (x0, x1, x2), den = _canonical_gadget(q, 2)
-    x_star, x_pair = x1 - x2, x0 - 2 * x1 + x2
-    pairs = list(itertools.combinations(range(q + 2), 2))
-    acc = dict.fromkeys(hset, big_l // d.numerator * d.denominator * den)
-    for qc in qsets:  # every occurrence, duplicates included
-        ks = [k.get(e, 0) for e in itertools.combinations(qc, 2)]
-        star = [0] * (q + 2)
-        for (a, b), kp in zip(pairs, ks):
-            star[a] += kp
-            star[b] += kp
-        base = x2 * sum(ks)
-        for (a, b), kp in zip(pairs, ks):
-            acc[qc[:a] + qc[a + 1 : b] + qc[b + 1 :]] += (
-                base + x_star * (star[a] + star[b]) + x_pair * kp
-            )
+    x_pair = x0 - x1
+    acc = [0] * len(hs)
+    at_h = [0] * len(hs)  # the (q+2)-cliques at each q-clique
+    for pairs, subs in reads:
+        ks = [k[i] for i in pairs]
+        whole = x1 * sum(ks)
+        for s, kp in zip(subs, ks):
+            acc[s] += whole + x_pair * kp
+            at_h[s] += 1
+    start = big_l // dn * dd * den  # 1/d over the denominator L * den
+    for s, pairs in enumerate(h_pairs):
+        acc[s] += start + (x2 - x1) * at_h[s] * sum(k[i] for i in pairs)
 
     denom = big_l * den
-    weighting = CliqueWeighting(q, {h: Fraction(a, denom) for h, a in acc.items()})
-    loads: dict[tuple[int, int], int] = {}
-    for h, a in acc.items():
-        for e in itertools.combinations(h, 2):
-            loads[e] = loads.get(e, 0) + a
-    for e in g.sorted_edges():
-        t = targets[e]
-        if loads.get(e, 0) * t.denominator != t.numerator * denom:
+    weighting = CliqueWeighting(q, {h: Fraction(a, denom) for h, a in zip(hs, acc)})
+    loads = [0] * (len(edges) + 1)
+    for a, pairs in zip(acc, h_pairs):
+        for i in pairs:
+            loads[i] += a
+    for e, t, load in zip(edges, targets, loads):
+        if load * t.denominator != t.numerator * denom:
             raise AssertionError(f"boost identity failed at edge {e}")
-    # lo <= a/denom <= hi with lo, hi = (1/2)/d, (3/2)/d, and
-    # |d a/denom - 1| = |dn a - dd denom| / (dd denom) for d = dn/dd
-    dn, dd = d.numerator, d.denominator
-    in_range = all(dd * denom <= 2 * dn * a <= 3 * dd * denom for a in acc.values())
-    max_dev = Fraction(
-        max((abs(dn * a - dd * denom) for a in acc.values()), default=0), dd * denom
-    )
-    c_range = (min(c_values), max(c_values)) if c_values else (Fraction(0),) * 2
-    return BoostResult(weighting, in_range, max_dev, c_range)
+    # a/denom lies in [(1/2)/d, (3/2)/d] iff 2 |dn a - dd denom| <= dd denom,
+    # and |d a/denom - 1| = |dn a - dd denom| / (dd denom)
+    scale = dd * denom
+    dev = max((abs(dn * a - scale) for a in acc), default=0)
+    return BoostResult(weighting, 2 * dev <= scale, Fraction(dev, scale), c_range)
 
 
 def fractional_kq_decomposition(g: Graph, q: int) -> BoostResult:

@@ -15,8 +15,6 @@ The connecting pairs inside a fake edge are not edges of the gadget;
 including them would break all three residues at once.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple
 
 from .graphs import Graph, Packing, _check_q, is_kq_divisible, union

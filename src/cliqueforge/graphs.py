@@ -7,8 +7,6 @@ lower bound on the leave of any K_q packing: the least k with
 k = e(G) mod binom(q,2) and 2k >= sum_v (d(v) mod (q-1)).
 """
 
-from __future__ import annotations
-
 import math
 from typing import Iterable, Iterator, NamedTuple
 

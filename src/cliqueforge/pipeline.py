@@ -25,12 +25,9 @@ not, so the validity check is fixer_deleted + leave >=
 optimal_leave_number(G).
 """
 
-from __future__ import annotations
-
 import itertools
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -738,6 +735,10 @@ def bench(
         if kind == "gnp":
             return pack_gnp(n, p, q, s)
         return pack_gnd(n, d, q, s)
+
+    # imported here, its only use: concurrent.futures loads logging, and
+    # the two cost a few ms of every import of the package
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         reports = list(pool.map(run, seeds))

@@ -9,8 +9,6 @@ machinery in branch and bound, pruning with the optimal leave number of
 the still-undecided subgraph (a valid lower bound on any completion).
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple

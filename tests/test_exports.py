@@ -5,13 +5,16 @@ the benchmark tracer wraps exists, so a deletion cannot break a traced
 benchmark run; every private module-level name is used, so a
 deletion cannot leave a helper behind; and importing the package loads
 neither dataclasses nor inspect, whose import alone costs more than the
-whole package."""
+whole package, nor concurrent.futures and the logging it pulls in, which
+only bench's thread pool needs, and no result record compiles the
+annotations of its fields at import."""
 
 import ast
 import importlib
 import importlib.util
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -39,17 +42,39 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, since this one has long since loaded both;
+def test_import_loads_no_costly_standard_module():
+    # a fresh interpreter, since this one has long since loaded them all;
     # the command line imports every module of the package
+    costly = {"dataclasses", "inspect", "concurrent.futures", "logging"}
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import cliqueforge.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted({costly!r} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_no_record_field_annotation_is_a_forward_reference():
+    # typing.NamedTuple compiles each string annotation into a ForwardRef
+    # when the class is made, which doubled the package's import time; so
+    # the modules that declare records evaluate their annotations (they
+    # do without "from __future__ import annotations")
+    records = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(name)).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+    }
+    assert len(records) == 16
+    refs = [
+        f"{cls.__name__}.{field}"
+        for cls in sorted(records, key=lambda cls: cls.__name__)
+        for field, kind in getattr(cls, "__annotations__", {}).items()
+        if isinstance(kind, typing.ForwardRef)
+    ]
+    assert not refs, f"record fields annotated with a ForwardRef: {refs}"
 
 
 def test_every_traced_name_resolves():

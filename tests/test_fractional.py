@@ -177,10 +177,16 @@ def test_boost_validates_inputs():
     qs = enumerate_cliques(g, 5)
     with pytest.raises(ValueError):
         boost(g, 3, h, qs, 1, 0)
-    with pytest.raises(ValueError):
-        boost(g, 3, h, [(0, 1, 2, 3)], 1, 5)  # not a (q+2)-set
-    with pytest.raises(ValueError):
-        boost(g, 3, h[:-1], qs, 1, 5)  # missing q-subset
+    with pytest.raises(ValueError) as exc:
+        boost(g, 3, h, [(3, 0, 2, 1)], 1, 5)
+    assert str(exc.value) == "(0, 1, 2, 3) is not a (q+2)-set"
+    # (4, 5, 6) is the last 3-clique, and (0, 1, 4, 5, 6) the first
+    # 5-clique holding it
+    with pytest.raises(ValueError) as exc:
+        boost(g, 3, h[:-1], qs, 1, 5)
+    assert str(exc.value) == (
+        "q-subset (4, 5, 6) of (0, 1, 4, 5, 6) is not among the chosen cliques"
+    )
     targets = dict.fromkeys(g.sorted_edges()[1:], 1)
     with pytest.raises(ValueError, match=r"target missing for edge \(0, 1\)"):
         boost(g, 3, h, qs, targets, 5)
@@ -225,7 +231,8 @@ def test_boost_with_nonuniform_targets():
 @given(st.data())
 def test_boost_matches_the_fraction_loop(data):
     """Integer numerators against the plain Fraction sum, on random
-    targets and d, with the (q+2)-cliques shuffled and one repeated."""
+    targets and d, with the q-cliques and the (q+2)-cliques shuffled and
+    one of each repeated, and the vertices of each q-clique permuted."""
     q = data.draw(st.sampled_from((3, 4)), label="q")
     n = data.draw(st.integers(q + 2, 9), label="n")
     members = data.draw(
@@ -235,6 +242,9 @@ def test_boost_matches_the_fraction_loop(data):
     )
     g = Graph(n, {e for m in members for e in itertools.combinations(m, 2)})
     h = enumerate_cliques(g, q)
+    h.append(h[data.draw(st.integers(0, len(h) - 1), label="repeated q-clique")])
+    h = [data.draw(st.permutations(c), label="vertex order") for c in h]
+    h = data.draw(st.permutations(h), label="q-clique order")
     qs = enumerate_cliques(g, q + 2)
     qs.append(qs[data.draw(st.integers(0, len(qs) - 1), label="repeated")])
     qs = data.draw(st.permutations(qs), label="order")
