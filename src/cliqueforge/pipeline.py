@@ -164,10 +164,12 @@ def _fill_pass(h: CliqueIndex, owner: list[int]) -> int:
     return gain
 
 
-def _triangle(cliques, v: int, u: int, w: int) -> int:
-    """Id of the triangle on v, u and w (u < w) in the lexicographic
-    cliques of a q = 3 index, which must hold it."""
-    return bisect_left(cliques, (v, u, w) if v < u else (u, v, w) if v < w else (u, w, v))
+def _triangle(hedges, e1: int, e2: int, e3: int) -> int:
+    """Id of the triangle on the edge ids e1, e2 and e3 in the hedges of
+    a q = 3 index, which must hold it.  For a < b < c the ids run
+    ab < ac < bc, so its hedge is the three ids ascending, and the
+    hedges are in lexicographic order."""
+    return bisect_left(hedges, tuple(sorted((e1, e2, e3))))
 
 
 def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
@@ -184,9 +186,9 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
 
     Every draw is the one rng.choice / rng.randrange would make, taken
     through randgraphs._below.  At q = 3 the triangle uvw is found by
-    _triangle's bisect on the lexicographic cliques, with no draw; at
-    q >= 4 the cliques on u, v and w are those of through[vu] that hold
-    vw.
+    _triangle's bisect of the hedges on the ids of vu, vw and uw, with
+    no draw; at q >= 4 the cliques on u, v and w are those of
+    through[vu] that hold vw.
 
     nbrs[v] lists the leave edge ids at v; slot[2e] and slot[2e + 1]
     are the places of e in the lists of its lower and upper end, and
@@ -195,7 +197,7 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
     the place of v in it; both lists change by append and swap-remove.
     """
     edges, hedges, through, ids = h.edges, h.hedges, h.through, h.edge_ids
-    cliques, triangles = h.cliques, h.q == 3
+    triangles = h.q == 3
     ends = [a + b for a, b in edges]
     n = 1 + max((b for _, b in edges), default=-1)
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -246,10 +248,11 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
         w = ends[e2] - v
         if u > w:
             u, w = w, u
-        if (u, w) not in ids:
+        e3 = ids.get((u, w))
+        if e3 is None:
             continue
         if triangles:
-            t = _triangle(cliques, v, u, w)
+            t = _triangle(hedges, e1, e2, e3)
         else:
             ts = [t for t in through[e1] if e2 in hedges[t]]
             if not ts:
@@ -313,10 +316,6 @@ class ReserveMatchingResult(NamedTuple):
     reserve_cliques: list[int]
     stranded: tuple[int, ...]
     used: set[int]
-
-    @property
-    def ok(self) -> bool:
-        return not self.stranded
 
 
 def matching_with_reserves(index: CliqueIndex, zone, rng) -> ReserveMatchingResult:
@@ -553,12 +552,15 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
     among the edges of one such vertex, until every degree is divisible
     or 6 e(G) steps have passed; the edge count stays where it falls.
     The caller fences the deleted edges off from the greedy nibble and
-    the polish may cover them again.  At q = 3 it deletes nothing,
-    because the polish walk would cover those edges again.
+    the polish may cover them again.  At q = 3 it returns (g, []) at
+    once, drawing nothing, because the polish walk would cover those
+    edges again.
     """
+    if q == 3:
+        return g, []
     deleted: list[tuple[int, int]] = []
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
-    for _ in range(6 * g.m if q > 3 else 0):
+    for _ in range(6 * g.m):
         bad = [v for v in range(g.n) if len(adj[v]) % (q - 1)]
         if not bad:
             break
@@ -668,8 +670,11 @@ def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
         reserve_ids = set(match.reserve_cliques)
         stages["reserve"] = per * sum(1 for t in chosen if t in reserve_ids)
         stages["nibble"] = len(used) - stages["reserve"]
-        packing = Packing(q, [index.cliques[t] for t in chosen])
+        packing = Packing(q, [index.clique(t) for t in chosen])
         leave = g.m - len(deleted) - len(used)
+        # the index is most of a pack's heap; drop it before the check,
+        # so that a full collection falling there does not walk it
+        del index, ids
 
     ms = int((time.perf_counter() - t0) * 1000)
     base = _spanning_subgraph(g, g.edges.difference(deleted)) if deleted else g

@@ -102,43 +102,54 @@ def _extend_cliques(up, q, out, prefix, cands) -> None:
 
 
 class CliqueIndex:
-    """q-cliques of a graph over integer edge ids.
+    """q-cliques of a graph over integer edge ids, one record per clique.
 
     edges[e] is the key of edge id e (ids follow sorted edge order) and
-    edge_ids its inverse.  cliques are in lexicographic order; hedges[t]
-    holds the edge ids of clique t in pair order (c0c1, c0c2, ...), and
-    through[e] the ids of the cliques on edge e, ascending.  Loops over
-    ids therefore visit edges and cliques in their key order.
+    edge_ids its inverse.  hedges[t] holds the edge ids of clique t in
+    pair order (c0c1, c0c2, ...), with the cliques in lexicographic
+    order, and through[e] the ids of the cliques on edge e, ascending.
+    Because ids follow key order, each hedge and the sequence of hedges
+    are strictly increasing, so loops over ids visit edges and cliques
+    in their key order, and a hedge can be found by bisecting hedges.
+    clique(t) reads the vertices of clique t back off its edges.
 
     The hedges are built a pair column at a time, with no tuple key
     hashed: up[a][b] is the id of edge ab for a < b, the column of pair
     (i, j) is up[c[i]][c[j]] over the cliques c, taken by C-level maps,
-    and zip turns the pair columns into the hedges.
+    and zip turns the pair columns into the hedges.  The list of vertex
+    tuples goes before through is built.
     """
 
-    __slots__ = ("q", "edges", "edge_ids", "cliques", "hedges", "through")
+    __slots__ = ("q", "edges", "edge_ids", "hedges", "through")
 
     def __init__(self, g: Graph, q: int):
         self.q = q
         self.edges: tuple[tuple[int, int], ...] = tuple(g.sorted_edges())
         self.edge_ids = {e: i for i, e in enumerate(self.edges)}
-        self.cliques: tuple[tuple[int, ...], ...] = tuple(enumerate_cliques(g, q))
+        cliques = enumerate_cliques(g, q)
         up: list[dict[int, int]] = [{} for _ in range(g.n)]
         for e, (a, b) in enumerate(self.edges):
             up[a][b] = e
-        cliques, row = self.cliques, up.__getitem__
+        row = up.__getitem__
         columns = [
             map(getitem, map(row, map(itemgetter(i), cliques)), map(itemgetter(j), cliques))
             for i, j in combinations(range(q), 2)
         ]
         self.hedges: tuple[tuple[int, ...], ...] = tuple(zip(*columns))
+        del cliques, columns
         self.through: list[list[int]] = [[] for _ in self.edges]
         for t, hedge in enumerate(self.hedges):
             for e in hedge:
                 self.through[e].append(t)
 
     def __len__(self):
-        return len(self.cliques)
+        return len(self.hedges)
+
+    def clique(self, t: int) -> tuple[int, ...]:
+        """The vertices of clique t, ascending: c0 and c1 off its edge
+        c0c1, then c2, ..., c(q-1) off its edges c0c2, ..., c0c(q-1)."""
+        edges, hedge = self.edges, self.hedges[t]
+        return edges[hedge[0]] + tuple([edges[e][1] for e in hedge[1 : self.q - 1]])
 
 
 # ===================================================================
@@ -278,7 +289,7 @@ def exact_decomposition(
     cover = _ExactCover(index.through, index.hedges)
     try:
         for sol in cover.solutions(budget):
-            packing = Packing(q, [index.cliques[t] for t in sol])
+            packing = Packing(q, [index.clique(t) for t in sol])
             return DecompResult("found", packing, budget.nodes)
     except BudgetExceeded:
         return DecompResult("budget", None, budget.nodes)
@@ -449,7 +460,7 @@ def min_leave_packing(
             targets.append(child)
             stack.append(branches(child))
 
-    packing = Packing(q, [index.cliques[cid] for cid in best_cliques])
+    packing = Packing(q, [index.clique(cid) for cid in best_cliques])
     status = "budget" if out_of_budget else "optimal"
     leave = g.m - qsize * len(best_cliques)
     return MinLeaveResult(status, packing, leave, budget.nodes)

@@ -37,6 +37,7 @@ from cliqueforge.pipeline import (
     reserve_hypergraph,
 )
 from cliqueforge.randgraphs import gnp, slice_graph, stream
+from cliqueforge.solver import enumerate_cliques
 
 from conftest import graphs
 from oracles import (
@@ -69,7 +70,9 @@ def test_design_k4_regularity(n):
 def test_design_hyperedges_are_clique_edge_sets():
     g = gnp(12, Fraction(1, 2), 7)
     h = design_hypergraph(g, 3)
-    for c, hedge in zip(h.cliques, h.hedges):
+    cliques = enumerate_cliques(g, 3)
+    assert len(h) == len(cliques)
+    for c, hedge in zip(cliques, h.hedges):
         assert len(hedge) == 3
         pairs = [h.edges[e] for e in hedge]
         assert all(g.has_edge(u, v) for u, v in pairs)
@@ -117,7 +120,7 @@ def test_reserve_hypergraph_drops_cliques_off_a_and_b():
     a = {(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)} - {(0, 1)}
     pool = design_hypergraph(complete_graph(n), 3)
     h = _reserves(pool, a, b)
-    assert [pool.cliques[t] for e in sorted(a) for t in h[e]] == [
+    assert [pool.clique(t) for e in sorted(a) for t in h[e]] == [
         (i, j, n - 1) for i, j in sorted(a)
     ]
     e01 = pool.edge_ids[0, 1]
@@ -125,7 +128,7 @@ def test_reserve_hypergraph_drops_cliques_off_a_and_b():
     # with 01 back in A, the clique 015 is a reserve clique again
     h = _reserves(pool, a | {(0, 1)}, b)
     assert sum(map(len, h.values())) == math.comb(n - 1, 2)
-    assert [pool.cliques[t] for t in h[0, 1]] == [(0, 1, n - 1)]
+    assert [pool.clique(t) for t in h[0, 1]] == [(0, 1, n - 1)]
 
 
 def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
@@ -136,7 +139,7 @@ def test_reserve_cliques_on_an_a_edge_come_in_apex_order():
     h = _reserves(pool, a.edges, b.edges)
     badj = b.adjacency()
     for e in sorted(a.edges):
-        apexes = [next(v for v in pool.cliques[t] if v not in e) for t in h[e]]
+        apexes = [next(v for v in pool.clique(t) if v not in e) for t in h[e]]
         assert apexes == sorted(badj[e[0]] & badj[e[1]])
 
 
@@ -198,7 +201,7 @@ def test_random_greedy_matching_off_a_fence_draws_as_on_the_rest(data):
         h, stream(seed, "greedy"), [h.edge_ids[e] for e in fence]
     )
     want, want_used = random_greedy_matching(sub, stream(seed, "greedy"), ())
-    assert [h.cliques[t] for t in chosen] == [sub.cliques[t] for t in want]
+    assert [h.clique(t) for t in chosen] == [sub.clique(t) for t in want]
     assert {h.edges[e] for e in used} == {sub.edges[e] for e in want_used}
 
 
@@ -258,7 +261,8 @@ def test_polish_walk_keeps_a_packing(instance, seed):
 @settings(max_examples=120, deadline=None)
 def test_walk_triangle_lookup_finds_the_one_scanned_clique(g):
     """For every pair of edges vu, vw with uw an edge, the walk's bisect
-    finds the one triangle a scan of the cliques on vu finds."""
+    on the three edge ids finds the one triangle a scan of the cliques
+    on vu finds."""
     h = design_hypergraph(g, 3)
     adj = g.adjacency()
     for v in range(g.n):
@@ -267,7 +271,7 @@ def test_walk_triangle_lookup_finds_the_one_scanned_clique(g):
                 e1 = h.edge_ids[min(u, v), max(u, v)]
                 e2 = h.edge_ids[min(v, w), max(v, w)]
                 scanned = reference_cliques_on(h.through, h.hedges, e1, e2)
-                assert [_triangle(h.cliques, v, u, w)] == scanned
+                assert [_triangle(h.hedges, e1, e2, h.edge_ids[u, w])] == scanned
 
 
 def test_matching_with_reserves_completes_the_star_instance():
@@ -280,19 +284,16 @@ def test_matching_with_reserves_completes_the_star_instance():
     oks = 0
     for seed in range(6):
         res = matching_with_reserves(pool, zone, stream(seed, "mwr"))
-        cliques = [pool.cliques[t] for t in res.nibble_cliques + res.reserve_cliques]
+        cliques = [pool.clique(t) for t in res.nibble_cliques + res.reserve_cliques]
         rep = verify_packing(g, Packing(3, cliques))
         assert rep.valid
-        assert all(_pairs(pool.cliques[t]) <= a for t in res.nibble_cliques)
-        assert all(len(_pairs(pool.cliques[t]) & a) == 1 for t in res.reserve_cliques)
+        assert all(_pairs(pool.clique(t)) <= a for t in res.nibble_cliques)
+        assert all(len(_pairs(pool.clique(t)) & a) == 1 for t in res.reserve_cliques)
         covered = {e for c in cliques for e in _pairs(c)}
         assert {pool.edges[e] for e in res.used} == covered
-        assert res.ok == (covered & a == a)
+        assert (not res.stranded) == (covered & a == a)
         assert {pool.edges[e] for e in res.stranded} == a - covered
-        if res.ok:
-            oks += 1
-        else:
-            assert res.stranded
+        oks += not res.stranded
     assert oks >= 1
 
 
@@ -323,7 +324,7 @@ def test_reserve_completion_is_maximal(instance, seed):
     for t in res.reserve_cliques:
         assert sorted(zone[x] for x in h.hedges[t]) == [1] + [2] * (len(h.hedges[t]) - 1)
     uncovered = [e for e, z in enumerate(zone) if z == 1 and e not in res.used]
-    assert res.stranded == tuple(uncovered) and res.ok == (not uncovered)
+    assert res.stranded == tuple(uncovered)
     # no stranded edge has a reserve clique that is still free
     for e in res.stranded:
         for t in h.through[e]:
@@ -507,7 +508,9 @@ def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
     ("embedded", lambda: pack_gnp(80, Fraction(2, 5), 3, 1),
      {"slice_graph", "embed_fixer", "_pack", "subtract", "verify_packing"}),
     ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2),
-     {"slice_graph", "embed_fixer", "fix_by_deletion", "_pack", "verify_packing"}),
+     {"slice_graph", "embed_fixer", "_pack", "verify_packing"}),
+    ("deletion", lambda: pack_gnp(16, Fraction(3, 4), 4, 1),
+     {"slice_graph", "fix_by_deletion", "_pack", "verify_packing"}),
 ])
 def test_derived_graphs_equal_graphs_built_on_their_edges(monkeypatch, mode, sample, sites):
     """Graphs a pack derives from a validated graph skip re-validation;

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -108,7 +109,7 @@ def test_clique_index_edge_lookup():
     through = index.through[e01]
     assert all(e01 in index.hedges[cid] for cid in through)
     assert len(through) == 3
-    for c, hedge in zip(index.cliques, index.hedges):
+    for c, hedge in zip(enumerate_cliques(g, 3), index.hedges):
         pairs = [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
         assert [index.edges[e] for e in hedge] == pairs
     # through[e] lists every clique on e, ascending
@@ -120,7 +121,33 @@ def test_clique_index_edge_lookup():
 @settings(max_examples=120, deadline=None)
 def test_clique_index_hedges_match_the_pair_key_oracle(g, q):
     index = CliqueIndex(g, q)
-    assert index.hedges == reference_hedges(index.cliques, index.edge_ids)
+    assert index.hedges == reference_hedges(enumerate_cliques(g, q), index.edge_ids)
+
+
+@given(graphs(8), st.sampled_from([2, 3, 4, 5]))
+@settings(max_examples=120, deadline=None)
+def test_clique_index_reads_each_clique_off_its_hedge(g, q):
+    # the walk bisects hedges for a triangle's ascending edge ids, so
+    # each hedge and the sequence of hedges must be strictly increasing
+    index = CliqueIndex(g, q)
+    assert [index.clique(t) for t in range(len(index))] == enumerate_cliques(g, q)
+    hedges = index.hedges
+    assert all(a < b for a, b in zip(hedges, hedges[1:]))
+    assert all(list(hedge) == sorted(set(hedge)) for hedge in hedges)
+
+
+def test_clique_index_holds_one_record_per_clique():
+    # an edge-id tuple and three through entries come to about 170 bytes
+    # a triangle; a second record per clique (a vertex tuple) takes 235
+    g = gnp(160, Fraction(3, 10), 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = CliqueIndex(g, 3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 200 * len(index)
 
 
 # ===================================================================
