@@ -1,24 +1,31 @@
-"""The nibble, reserve and polish stages and the end-to-end pipeline.
+"""The packing pipelines: a walk on edge ids at q = 3, stages at q >= 4.
 
-The pipeline packs a sampled random graph in stages: embed a spanning
+Inputs of at most EXACT_CUTOFF edges are solved exactly.  Above it the
+pipeline takes one of two paths.
+
+At q = 3 it works on G's edge ids alone, with no clique index and no
+fixer, reserve or greedy stage (_pack_triangles): a lexicographic fill
+takes every triangle whose edges are all still leave, then Stinson's
+switch walk runs WALK_STEPS * e(G) steps on the leave.
+
+At q >= 4 it runs in stages on one clique index of G: embed a spanning
 divisibility fixer (Hamilton path power plus fake-edge gadgets placed
 in a dedicated slice) and apply it, or else fall back on the residue
-burn, which at q >= 4 deletes edges until every degree is divisible by
-q-1 and so fences them off from the greedy nibble, and at q = 3
-deletes nothing; reserve an edge slice of the unfenced rest, pack the
-remainder greedily through the design hypergraph, complete leftovers
-through reserve cliques in one pass in edge-id order, then polish on
-all of G: fill the packing to maximality and run Stinson's switch walk
-on the leave for WALK_STEPS * e(G) steps, which may cover
-fixer-deleted edges again.
+burn, which deletes edges until every degree is divisible by q-1 and
+so fences them off from the greedy nibble; reserve an edge slice of
+the unfenced rest, pack the remainder greedily through the design
+hypergraph, complete leftovers through reserve cliques in one pass in
+edge-id order, then polish on all of G: fill the packing to maximality
+and run Stinson's switch walk on the leave for WALK_STEPS * e(G) steps,
+which may cover fixer-deleted edges again.
 Stage failures always degrade to a larger leave, never to an invalid
-packing.  Inputs of at most EXACT_CUTOFF edges are solved exactly
-instead, with the same report and validity check.
+packing.  Every pack ends with the same report and validity check.
 
 Accounting: stages fixer_deleted / nibble / reserve / absorbed plus
 the reported leave partition e(G) exactly.  fixer_deleted counts the
 fixer-deleted edges the polish left uncovered, and the polish's net
-coverage falls into nibble.  absorbed is always 0: no pack stage
+coverage falls into nibble; at q = 3 nibble counts every covered edge
+and the other stages read 0.  absorbed is always 0: no pack stage
 absorbs, and the key stays so the version-1 report keeps its shape.
 The classical lower bound applies to all uncovered edges, deleted or
 not, so the validity check is fixer_deleted + leave >=
@@ -27,7 +34,6 @@ optimal_leave_number(G).
 
 import itertools
 import time
-from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -164,12 +170,53 @@ def _fill_pass(h: CliqueIndex, owner: list[int]) -> int:
     return gain
 
 
-def _triangle(hedges, e1: int, e2: int, e3: int) -> int:
-    """Id of the triangle on the edge ids e1, e2 and e3 in the hedges of
-    a q = 3 index, which must hold it.  For a < b < c the ids run
-    ab < ac < bc, so its hedge is the three ids ascending, and the
-    hedges are in lexicographic order."""
-    return bisect_left(hedges, tuple(sorted((e1, e2, e3))))
+def _leave_lists(edges, owner):
+    """The leave edges at each vertex, kept up to date by a switch walk.
+
+    edges[e] is the key (a, b), a < b, of edge id e, and the edges with
+    owner[e] == LEAVE start in the lists, in id order.  Returns (nbrs,
+    hot, put, cut): nbrs[v] lists the leave edge ids at v, hot the
+    vertices of leave degree >= 2, and put(e) appends the edge id e to
+    the lists of both its ends while cut(e) swap-removes it from them,
+    each keeping hot in step.
+
+    slot[2e] and slot[2e + 1] are the places of e in the lists of its
+    lower and upper end, and spot[v] is the place of v in hot; hot
+    changes by append and swap-remove.
+    """
+    n = 1 + max((b for _, b in edges), default=-1)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    slot = [0] * (2 * len(edges))
+    hot: list[int] = []
+    spot = [0] * n
+
+    def put(e):
+        for s, v in enumerate(edges[e], 2 * e):
+            at = nbrs[v]
+            slot[s] = len(at)
+            at.append(e)
+            if len(at) == 2:
+                spot[v] = len(hot)
+                hot.append(v)
+
+    def cut(e):
+        for s, v in enumerate(edges[e], 2 * e):
+            at = nbrs[v]
+            last = at.pop()
+            i = slot[s]
+            if i < len(at):
+                at[i] = last
+                slot[2 * last + (edges[last][1] == v)] = i
+            if len(at) == 1:
+                last = hot.pop()
+                if last != v:
+                    hot[spot[v]] = last
+                    spot[last] = spot[v]
+
+    for e, o in enumerate(owner):
+        if o == LEAVE:
+            put(e)
+    return nbrs, hot, put, cut
 
 
 def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
@@ -177,61 +224,20 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
 
     A step draws a vertex v of leave degree at least 2 and an ordered
     pair of its leave edges vu, vw.  It stalls if uw is not an edge;
-    otherwise it draws a clique t uniformly from those on u, v and w
-    (for q = 3, the triangle uvw).  If every other edge of t is leave
-    or lies in one chosen clique b, t is taken and b dropped.  That
-    gains binom(q, 2) edges or none, so coverage never falls while the
-    leave keeps moving.  Mutates owner; returns the number of edges
+    otherwise it draws a clique t uniformly from those on u, v and w,
+    the cliques of through[vu] that hold vw.  If every other edge of t
+    is leave or lies in one chosen clique b, t is taken and b dropped.
+    That gains binom(q, 2) edges or none, so coverage never falls while
+    the leave keeps moving.  Mutates owner; returns the number of edges
     gained.
 
     Every draw is the one rng.choice / rng.randrange would make, taken
-    through randgraphs._below.  At q = 3 the triangle uvw is found by
-    _triangle's bisect of the hedges on the ids of vu, vw and uw, with
-    no draw; at q >= 4 the cliques on u, v and w are those of
-    through[vu] that hold vw.
-
-    nbrs[v] lists the leave edge ids at v; slot[2e] and slot[2e + 1]
-    are the places of e in the lists of its lower and upper end, and
-    ends[e] is the sum of its two ends, so its far end from v is
-    ends[e] - v.  hot lists the vertices of leave degree >= 2, spot[v]
-    the place of v in it; both lists change by append and swap-remove.
+    through randgraphs._below.  ends[e] is the sum of the two ends of
+    edge e, so its far end from v is ends[e] - v.
     """
     edges, hedges, through, ids = h.edges, h.hedges, h.through, h.edge_ids
-    triangles = h.q == 3
     ends = [a + b for a, b in edges]
-    n = 1 + max((b for _, b in edges), default=-1)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    slot = [0] * (2 * len(edges))
-    hot: list[int] = []
-    spot = [0] * n
-
-    def put(v, s, e):
-        """Append the leave edge e to nbrs[v], its place going to slot[s]."""
-        at = nbrs[v]
-        slot[s] = len(at)
-        at.append(e)
-        if len(at) == 2:
-            spot[v] = len(hot)
-            hot.append(v)
-
-    def cut(v, i):
-        """Swap-remove the leave edge at place i of nbrs[v]."""
-        at = nbrs[v]
-        last = at.pop()
-        if i < len(at):
-            at[i] = last
-            slot[2 * last + (edges[last][1] == v)] = i
-        if len(at) == 1:
-            last = hot.pop()
-            if last != v:
-                hot[spot[v]] = last
-                spot[last] = spot[v]
-
-    for e, o in enumerate(owner):
-        if o == LEAVE:
-            a, b = edges[e]
-            put(a, 2 * e, e)
-            put(b, 2 * e + 1, e)
+    nbrs, hot, put, cut = _leave_lists(edges, owner)
     below = _below(rng)
     gain = 0
     for _ in range(steps):
@@ -248,16 +254,12 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
         w = ends[e2] - v
         if u > w:
             u, w = w, u
-        e3 = ids.get((u, w))
-        if e3 is None:
+        if (u, w) not in ids:
             continue
-        if triangles:
-            t = _triangle(hedges, e1, e2, e3)
-        else:
-            ts = [t for t in through[e1] if e2 in hedges[t]]
-            if not ts:
-                continue
-            t = ts[0] if len(ts) == 1 else ts[below(len(ts))]
+        ts = [t for t in through[e1] if e2 in hedges[t]]
+        if not ts:
+            continue
+        t = ts[0] if len(ts) == 1 else ts[below(len(ts))]
         hedge = hedges[t]
         drop = LEAVE
         for x in hedge:
@@ -270,9 +272,7 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
         else:
             for x in hedge:
                 if owner[x] == LEAVE:
-                    a, b = edges[x]
-                    cut(a, slot[2 * x])
-                    cut(b, slot[2 * x + 1])
+                    cut(x)
                 owner[x] = t
             if drop == LEAVE:
                 gain += len(hedge)
@@ -280,9 +280,7 @@ def _augment_pass(h: CliqueIndex, owner: list[int], rng, steps: int) -> int:
                 for x in hedges[drop]:
                     if owner[x] == drop:
                         owner[x] = LEAVE
-                        a, b = edges[x]
-                        put(a, 2 * x, x)
-                        put(b, 2 * x + 1, x)
+                        put(x)
     return gain
 
 
@@ -301,6 +299,86 @@ def _polish(h: CliqueIndex, chosen: list[int], used: set, rng, steps: int) -> in
     used.clear()
     used.update(e for e, o in enumerate(owner) if o >= 0)
     return gain
+
+
+def _pack_triangles(g: Graph, rng, steps: int) -> list[tuple[int, int, int]]:
+    """A triangle packing of g on its edge ids alone, in lexicographic
+    order: a lexicographic fill, then Stinson's walk for steps steps.
+
+    Edge ids follow g.sorted_edges(), so for a < b < c the ids run
+    ab < ac < bc, and a chosen triangle is keyed by its least edge id,
+    that of ab.  owner[e] is the key of the chosen triangle on edge e,
+    or LEAVE; tri[k] holds the edge ids of the triangle keyed k, which
+    is chosen while owner[k] == k.  Chosen triangles are edge-disjoint,
+    so their keys are distinct.
+
+    The fill takes every triangle a < b < c, in lexicographic order,
+    whose three edges are all leave, reading the neighbours of a above
+    it in ascending order.  A walk step draws v uniformly among the
+    vertices of leave degree >= 2, then e1 = vu uniformly among the
+    leave edges at v, then e2 = vw uniformly among those other leave
+    edges at v for which uw is an edge of g; it stalls when there is
+    none.  If uw is leave, the triangle uvw is taken and gains 3 edges;
+    else the chosen triangle on uw is dropped for it.  Coverage never
+    falls while the leave keeps moving.  Every draw goes through
+    randgraphs._below, and a draw among one candidate is skipped.
+    """
+    edges = g.sorted_edges()
+    # nb[v][w] is the id of edge vw; both ends list their neighbours in
+    # ascending order, because ids follow the sorted edges
+    nb: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for e, (a, b) in enumerate(edges):
+        nb[a][b] = e
+        nb[b][a] = e
+    owner = [LEAVE] * len(edges)
+    tri: list[tuple[int, ...]] = [()] * len(edges)
+    for a, na in enumerate(nb):
+        up = [(b, e) for b, e in na.items() if b > a]
+        for i, (b, ab) in enumerate(up):
+            if owner[ab] != LEAVE:
+                continue
+            nbb = nb[b]
+            for c, ac in up[i + 1 :]:
+                bc = nbb.get(c)
+                if bc is not None and owner[ac] == LEAVE and owner[bc] == LEAVE:
+                    owner[ab] = owner[ac] = owner[bc] = ab
+                    tri[ab] = (ab, ac, bc)
+                    break
+
+    ends = [a + b for a, b in edges]
+    nbrs, hot, put, cut = _leave_lists(edges, owner)
+    below = _below(rng)
+    for _ in range(steps):
+        if not hot:
+            break
+        v = hot[below(len(hot))]
+        at = nbrs[v]
+        e1 = at[below(len(at))]
+        nu = nb[ends[e1] - v]
+        # u is no neighbour of itself, so e1 is never a candidate
+        closing = [e for e in at if ends[e] - v in nu]
+        if not closing:
+            continue
+        e2 = closing[0] if len(closing) == 1 else closing[below(len(closing))]
+        e3 = nu[ends[e2] - v]
+        cut(e1)
+        cut(e2)
+        drop = owner[e3]
+        if drop == LEAVE:
+            cut(e3)
+        else:
+            for x in tri[drop]:
+                if x != e3:
+                    owner[x] = LEAVE
+                    put(x)
+        key = min(e1, e2, e3)
+        owner[e1] = owner[e2] = owner[e3] = key
+        tri[key] = (e1, e2, e3)
+    return [
+        tuple(sorted({*edges[tri[k][0]], *edges[tri[k][1]]}))
+        for k, o in enumerate(owner)
+        if o == k
+    ]
 
 
 # ===================================================================
@@ -552,9 +630,8 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
     among the edges of one such vertex, until every degree is divisible
     or 6 e(G) steps have passed; the edge count stays where it falls.
     The caller fences the deleted edges off from the greedy nibble and
-    the polish may cover them again.  At q = 3 it returns (g, []) at
-    once, drawing nothing, because the polish walk would cover those
-    edges again.
+    the polish may cover them again.  At q = 3, where no pack calls it,
+    it returns (g, []) at once, drawing nothing.
     """
     if q == 3:
         return g, []
@@ -584,7 +661,14 @@ def fix_by_deletion(g: Graph, q: int, rng) -> tuple[Graph, list[tuple[int, int]]
 
 
 class PackReport(NamedTuple):
-    """Result of one pipeline run; to_json follows the stable schema."""
+    """Result of one pipeline run; to_json follows the stable schema.
+
+    fixer_mode names the path the pack took: "exact" when it was solved
+    exactly (at most EXACT_CUTOFF edges), "none" at q = 3 above that,
+    where the pack has no fixer, and at q >= 4 "embedded" or "deletion",
+    by whether the fixer embedded or the residue burn ran.  to_json
+    leaves it out.
+    """
 
     n: int
     p: Fraction | None
@@ -629,6 +713,11 @@ def _pack(g: Graph, q: int, seed: int, p, d) -> PackReport:
         res = min_leave_packing(g, q)
         fixer_mode, deleted, packing, leave = "exact", [], res.packing, res.leave
         stages["nibble"] = g.m - leave
+    elif q == 3:
+        triangles = _pack_triangles(g, stream(seed, "walk"), WALK_STEPS * g.m)
+        fixer_mode, deleted, packing = "none", [], Packing(3, triangles)
+        stages["nibble"] = 3 * len(triangles)
+        leave = g.m - stages["nibble"]
     else:
         # (ii) fixer: embed and apply it, or repair by deletion; the
         # nibble leaves the fenced edges (the fixer's, or the deleted

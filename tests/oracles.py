@@ -186,11 +186,6 @@ def reference_hedges(cliques, edge_ids) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(edge_ids.__getitem__, combinations(c, 2))) for c in cliques)
 
 
-def reference_cliques_on(through, hedges, e1: int, e2: int) -> list[int]:
-    """The cliques on edge ids e1 and e2, scanning the cliques on e1."""
-    return [t for t in through[e1] if e2 in hedges[t]]
-
-
 def max_codegree(hedges) -> int:
     """Most hyperedges through one pair of vertices, by counting pairs."""
     pairs = Counter(p for h in hedges for p in combinations(sorted(h), 2))

@@ -17,7 +17,7 @@ import pytest
 from cliqueforge import randgraphs
 
 ROOT = Path(__file__).resolve().parents[1]
-SUITES = {"polish": 8, "boost": 23, "density": 24, "exact_cover": 19, "gnd": 21, "deletion": 4}
+SUITES = {"walk": 16, "boost": 23, "density": 24, "exact_cover": 19, "gnd": 21, "deletion": 4}
 STREAMS = {"streams": ("randgraphs.stream", lambda *args: 1)}
 
 

@@ -1,11 +1,11 @@
 """Byte-level pins of the pipeline and exact-engine outputs.
 
 The digest covers the schedule-free report JSON, the sorted cliques and
-the sorted deleted edges of a few fixed pipeline runs (the nibble with
-reserves and the polish walk, a q=4 run, the exact-cutoff path, a
-regular host), plus exact-cover and minimum-leave
+the sorted deleted edges of a few fixed pipeline runs (the q = 3 fill
+and walk, a staged q=4 run, the exact-cutoff path, a regular host),
+plus exact-cover and minimum-leave
 results.  A second digest covers two pack_gnp(160, 3/10, 3) calls, where
-the polish walk makes thousands of switches per call, and a min-leave
+the walk makes thousands of switches per call, and a min-leave
 search that runs out of its node budget.  A third digest covers fractional weightings,
 serialized with their range diagnostics: unit-target decompositions of
 G(n, 9/10) (refusals included), a boost with non-uniform targets, a
@@ -60,8 +60,8 @@ from cliqueforge.solver import (
 
 from oracles import complete_graph, cycle_graph, two_layer_boost
 
-PINNED = "35d718aa46e1cb9d3614255f768e9462915faf35d86d6a35765d0d940e368b9c"
-PINNED_AT_SCALE = "56dd2faeb02f0ff3c81b0a167df22507a1b939c6aa280bf7f5858d57c1c38c1d"
+PINNED = "8c0ee51fcbc93b6b6c970efe1421c86b5ee1937c20290e77b666076009dfe0c7"
+PINNED_AT_SCALE = "24e18a2508980a9b6d0daddfa5994e4a6a02617aa244b9e34c743ef0f834ba60"
 PINNED_FRACTIONAL = "1a8a9d2c9b4fb487dd7b8e617afd0ee18d40ba8f2cc2bff0a910c5a331b4c7ef"
 # the cliques of the anti_clique_absorber(4) host's decomposition, in
 # the order the search took them
@@ -187,16 +187,17 @@ def _digest(docs):
 
 def test_outputs_match_the_pinned_digest():
     docs = _outputs()
-    assert docs[-1][1]["stages"]["reserve"] > 0  # reserve completion ran
-    assert docs[2][0] == "exact"  # the exact-cutoff path
+    # the q = 3 walk, the staged q = 4 path and the exact-cutoff path
+    assert [d[0] for d in docs[:4]] == ["none", "deletion", "exact", "none"]
+    assert docs[-1][0] == "none"
     assert _digest(docs) == PINNED
 
 
 def test_polish_heavy_outputs_match_the_pinned_digest():
-    """n=160 packs, where the polish walk makes thousands of switches,
-    and a min-leave search that runs into its node budget."""
+    """n=160 packs, where the walk makes thousands of switches, and a
+    min-leave search that runs into its node budget."""
     docs = _outputs_at_scale()
-    assert [d[0] for d in docs[:2]] == ["embedded", "embedded"]
+    assert [d[0] for d in docs[:2]] == ["none", "none"]
     assert docs[2][:1] == ["budget"]
     assert _digest(docs) == PINNED_AT_SCALE
 

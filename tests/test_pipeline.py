@@ -24,8 +24,8 @@ from cliqueforge.graphs import (
 from cliqueforge.pipeline import (
     EmbedFailure,
     _fat_prefixes,
+    _pack_triangles,
     _polish,
-    _triangle,
     bench,
     design_hypergraph,
     embed_fixer,
@@ -39,11 +39,9 @@ from cliqueforge.pipeline import (
 from cliqueforge.randgraphs import gnp, slice_graph, stream
 from cliqueforge.solver import enumerate_cliques
 
-from conftest import graphs
 from oracles import (
     complete_graph,
     max_codegree,
-    reference_cliques_on,
     reference_fat_prefixes,
 )
 
@@ -206,18 +204,24 @@ def test_random_greedy_matching_off_a_fence_draws_as_on_the_rest(data):
 
 
 @st.composite
-def partial_packings(draw):
-    """A host of at most 14 vertices, its K_q index and a random partial
-    packing (cliques drawn in random order, each kept or skipped)."""
-    q = draw(st.sampled_from([3, 4]))
-    n = draw(st.integers(q, 14))
+def hosts(draw, min_n):
+    """A host of min_n to 14 vertices, each pair an edge with one of the
+    densities 1/2, 2/3 and 3/4."""
+    n = draw(st.integers(min_n, 14))
     sparse = draw(st.sampled_from([2, 3, 4]))  # edge density 1 - 1/sparse
     pairs = list(combinations(range(n), 2))
     picks = draw(st.lists(
         st.integers(0, sparse - 1), min_size=len(pairs), max_size=len(pairs)
     ))
-    g = Graph(n, [e for e, k in zip(pairs, picks) if k])
-    h = design_hypergraph(g, q)
+    return Graph(n, [e for e, k in zip(pairs, picks) if k])
+
+
+@st.composite
+def partial_packings(draw):
+    """A host, its K_q index and a random partial packing (cliques drawn
+    in random order, each kept or skipped)."""
+    q = draw(st.sampled_from([3, 4]))
+    h = design_hypergraph(draw(hosts(q)), q)
     order = draw(st.permutations(range(len(h))))
     keep = draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h)))
     chosen: list[int] = []
@@ -256,22 +260,27 @@ def test_polish_walk_keeps_a_packing(instance, seed):
     assert covered == sorted(covered)
 
 
-@given(graphs(11))
-@example(complete_graph(9))
-@settings(max_examples=120, deadline=None)
-def test_walk_triangle_lookup_finds_the_one_scanned_clique(g):
-    """For every pair of edges vu, vw with uw an edge, the walk's bisect
-    on the three edge ids finds the one triangle a scan of the cliques
-    on vu finds."""
-    h = design_hypergraph(g, 3)
-    adj = g.adjacency()
-    for v in range(g.n):
-        for u, w in combinations(sorted(adj[v]), 2):
-            if w in adj[u]:
-                e1 = h.edge_ids[min(u, v), max(u, v)]
-                e2 = h.edge_ids[min(v, w), max(v, w)]
-                scanned = reference_cliques_on(h.through, h.hedges, e1, e2)
-                assert [_triangle(h.hedges, e1, e2, h.edge_ids[u, w])] == scanned
+@given(hosts(3), st.integers(0, 50))
+@example(complete_graph(9), 0)
+@settings(max_examples=200, deadline=None)
+def test_triangle_walk_keeps_a_packing(g, seed):
+    covered = []
+    for steps in (0, 1, 5, 80):
+        triangles = _pack_triangles(g, stream(seed, "walk"), steps)
+        # edge-disjoint triangles of g, in lexicographic order
+        assert triangles == sorted(set(triangles))
+        assert all(len(t) == 3 and t[0] < t[1] < t[2] for t in triangles)
+        edges = [e for t in triangles for e in combinations(t, 2)]
+        assert len(edges) == len(set(edges)) and set(edges) <= g.edges
+        if not steps:
+            # the fill alone leaves no triangle of g wholly in the leave
+            leave = g.edges - set(edges)
+            assert not any(set(combinations(t, 2)) <= leave for t in enumerate_cliques(g, 3))
+        # the same seed gives the same output
+        assert _pack_triangles(g, stream(seed, "walk"), steps) == triangles
+        covered.append(len(triangles))
+    # a longer walk repeats a shorter one's steps, so coverage never falls
+    assert covered == sorted(covered)
 
 
 def test_matching_with_reserves_completes_the_star_instance():
@@ -479,16 +488,10 @@ PACK_STAGES = (
 )
 
 
-@pytest.mark.parametrize("mode, sample", [
-    ("embedded", lambda: pack_gnp(80, Fraction(2, 5), 3, 1)),
-    ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2)),
-])
-def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
-    # the nibble, reserve completion and global polish share one index,
-    # so neither entry point runs twice; every traced stage runs once,
-    # except the repair of the other fixer mode, which does not run
+def _count_calls(monkeypatch, patched):
+    """Rebind each (module, name) to a wrapper that logs name per call;
+    returns the log."""
     calls = []
-    patched = [(pipeline, name) for name in PACK_STAGES] + [(solver, "enumerate_cliques")]
     for module, name in patched:
         f = getattr(module, name)
 
@@ -497,6 +500,22 @@ def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
             return f(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# Only q >= 4 packs take the staged path, and none of them has been seen
+# to embed its fixer (0 of 12 at gnp(60, 303/500), none at gnd(40, 21)
+# or gnd(64, 27)), so the staged-path tests below have no "embedded"
+# sample.
+@pytest.mark.parametrize("mode, sample", [
+    ("deletion", lambda: pack_gnp(16, Fraction(3, 4), 4, 1)),
+])
+def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
+    # the nibble, reserve completion and global polish share one index,
+    # so neither entry point runs twice; every traced stage runs once,
+    # except the repair of the other fixer mode, which does not run
+    patched = [(pipeline, name) for name in PACK_STAGES] + [(solver, "enumerate_cliques")]
+    calls = _count_calls(monkeypatch, patched)
     rep = sample()
     assert rep.fixer_mode == mode and rep.valid
     idle = "fix_by_deletion" if mode == "embedded" else "apply_fixer"
@@ -504,11 +523,26 @@ def test_a_pack_enumerates_the_cliques_of_g_once(monkeypatch, mode, sample):
     assert Counter(calls) == want
 
 
+def test_a_triangle_pack_runs_on_edge_ids_alone(monkeypatch):
+    # above EXACT_CUTOFF a q = 3 pack slices nothing, builds no clique
+    # index and runs no fixer, reserve or polish stage
+    patched = [(pipeline, name) for name in PACK_STAGES + ("slice_graph", "CliqueIndex")]
+    patched += [(randgraphs, "slice_graph"), (solver, "enumerate_cliques"),
+                (solver, "CliqueIndex")]
+    calls = _count_calls(monkeypatch, patched)
+    for g, rep in (
+        (gnp(60, Fraction(3, 10), 2), pack_gnp(60, Fraction(3, 10), 3, 2)),
+        (randgraphs.gnd(60, 12, 3), pack_gnd(60, 12, 3, 3)),
+    ):
+        assert g.m > pipeline.EXACT_CUTOFF
+        assert rep.fixer_mode == "none" and rep.valid and rep.deleted == ()
+        assert rep.stages == {
+            "fixer_deleted": 0, "nibble": g.m - rep.leave, "reserve": 0, "absorbed": 0,
+        }
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode, sample, sites", [
-    ("embedded", lambda: pack_gnp(80, Fraction(2, 5), 3, 1),
-     {"slice_graph", "embed_fixer", "_pack", "subtract", "verify_packing"}),
-    ("deletion", lambda: pack_gnp(60, Fraction(3, 10), 3, 2),
-     {"slice_graph", "embed_fixer", "_pack", "verify_packing"}),
     ("deletion", lambda: pack_gnp(16, Fraction(3, 4), 4, 1),
      {"slice_graph", "fix_by_deletion", "_pack", "verify_packing"}),
 ])
